@@ -118,7 +118,6 @@ SuiteRun runSuite(unsigned Jobs) {
   auto Start = std::chrono::steady_clock::now();
   if (Jobs > 1) {
     ThreadPool Pool(Jobs);
-    Options.Pool = &Pool;
     TaskGroup Group(Pool);
     for (size_t I = 0; I < Rules.size(); ++I)
       Group.spawn([&Rules, &Out, &Options, I] {

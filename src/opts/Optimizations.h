@@ -29,6 +29,7 @@
 
 #include "lang/Rule.h"
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,14 @@ struct OptEntry {
   int PaperSeconds = 0;
   int PaperAtpCalls = 0;
 };
+
+/// Prints the rule name. GoogleTest finds this by argument-dependent lookup
+/// when an OptEntry is a test parameter; without it the test names would
+/// embed the entry's raw bytes, heap pointers included, and change from
+/// build to build.
+inline void PrintTo(const OptEntry &Entry, std::ostream *OS) {
+  *OS << Entry.Name;
+}
 
 /// The full Fig. 11 suite, in the paper's row order.
 const std::vector<OptEntry> &figure11Suite();

@@ -5,10 +5,7 @@
 #include "logic/Subst.h"
 #include "logic/SymExec.h"
 #include "pec/Correlate.h"
-#include "solver/Clone.h"
-#include "support/Metrics.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -314,12 +311,6 @@ private:
                            std::move(Disjuncts)};
   }
 
-  FormulaPtr obligation(const Constraint &C) {
-    ObligationParts P = obligationParts(C);
-    return Formula::mkImplies(P.Antecedent,
-                              Formula::mkOr(std::move(P.Disjuncts)));
-  }
-
   /// Captures a structured diagnosis of the failing constraint \p C whose
   /// checked implication \p Check came back invalid: counterexample model
   /// (fresh ATP query with model extraction), assumed facts, the recorded
@@ -373,82 +364,6 @@ private:
     Result.Diagnosis = std::move(D);
   }
 
-  /// Parallel wave prefilter (docs/PARALLELISM.md): checks every queued
-  /// constraint against the *current* predicates concurrently and retires
-  /// the ones that hold; failures stay queued for the sequential
-  /// strengthen/diagnose path below. Retiring a holding constraint is
-  /// exactly what the sequential pop would have done with it, and
-  /// predicate strengthening is monotone, so this chaotic-iteration order
-  /// converges to the same fixpoint — and because wave membership and
-  /// answers do not depend on thread count or completion order, the
-  /// decisions (and merged stats) are identical for any jobs >= 2.
-  void waveFilter(std::deque<size_t> &Worklist, std::vector<char> &InWorklist,
-                  const std::vector<char> &Requeued) {
-    std::vector<size_t> Wave(Worklist.begin(), Worklist.end());
-    metrics::record(metrics::Hist::WaveWidth, Wave.size());
-    // One causal span per wave: the per-obligation tasks spawned below
-    // adopt it as parent across the pool, so the journal records
-    // rule -> check -> wave -> obligation -> query.
-    trace::Span WaveTrace("wave");
-    WaveTrace.attr("wave", static_cast<uint64_t>(WaveIndex++));
-    WaveTrace.attr("width", static_cast<uint64_t>(Wave.size()));
-    Worklist.clear();
-    // Obligations are built up front on this thread: the rule's shared
-    // TermArena is single-thread confined.
-    std::vector<FormulaPtr> Checks(Wave.size());
-    {
-      telemetry::Span PwpSpan("checker.pwp", "checker");
-      PwpSpan.arg("constraints", static_cast<uint64_t>(Wave.size()));
-      for (size_t I = 0; I < Wave.size(); ++I)
-        Checks[I] =
-            Formula::mkImplies(R.entry(Constraints[Wave[I]].Source).Pred,
-                               obligation(Constraints[Wave[I]]));
-    }
-    std::vector<char> Holds(Wave.size(), 0);
-    std::vector<AtpStats> WaveStats(Wave.size());
-    {
-      telemetry::Span WaveSpan("checker.wave", "checker");
-      WaveSpan.arg("constraints", static_cast<uint64_t>(Wave.size()));
-      TaskGroup Group(*Options.Pool);
-      for (size_t I = 0; I < Wave.size(); ++I) {
-        Group.spawn([this, &Checks, &Holds, &WaveStats, &Wave, &Requeued, I] {
-          bool IsRecheck = Requeued[Wave[I]] != 0;
-          trace::Span ObTrace("obligation");
-          ObTrace.attr("obligation", static_cast<uint64_t>(Wave[I]));
-          ObTrace.attr("kind", IsRecheck ? "strengthen-recheck" : "initial");
-          // Private arena + prover per obligation; only the internally
-          // synchronized AtpCache is shared with other threads.
-          TermArena WorkerArena;
-          Atp Worker(WorkerArena, Prover.options());
-          Worker.setCache(Prover.cache());
-          CloneMap Memo;
-          FormulaPtr Check =
-              cloneFormula(Low.arena(), WorkerArena, Checks[I], Memo);
-          PurposeScope Tag(IsRecheck ? Purpose::Strengthening
-                                     : Purpose::Obligation);
-          Holds[I] = Worker.query(AtpQuery::validity(Check)).Verdict ? 1 : 0;
-          ObTrace.attr("verdict", Holds[I] ? "holds" : "invalid");
-          WaveStats[I] = Worker.stats();
-        });
-      }
-      Group.wait();
-    }
-    // Merge worker stats in submission order — not completion order — so
-    // the rule's totals are scheduling-independent.
-    for (const AtpStats &S : WaveStats)
-      Prover.mergeStats(S);
-    for (size_t I = 0; I < Wave.size(); ++I) {
-      if (Holds[I]) {
-        InWorklist[Wave[I]] = 0;
-        // Retired without a core: a later strengthening of any response
-        // target must conservatively re-enqueue it.
-        CoreKnown[Wave[I]] = 0;
-      } else {
-        Worklist.push_back(Wave[I]);
-      }
-    }
-  }
-
   void solveConstraints(CheckerResult &Result) {
     std::deque<size_t> Worklist;
     std::vector<char> InWorklist(Constraints.size(), 0);
@@ -457,27 +372,16 @@ private:
     // initial pass to "obligation".
     std::vector<char> Requeued(Constraints.size(), 0);
     // Response targets named by the last successful incremental check's
-    // assumption core (valid only while CoreKnown; wave retirements have
-    // no core and reset to conservative).
-    CoreKnown.assign(Constraints.size(), 0);
-    CoreTargets.assign(Constraints.size(), {});
+    // assumption core (valid only while CoreKnown: a constraint has no core
+    // before its first proof, nor after a failed check).
+    std::vector<char> CoreKnown(Constraints.size(), 0);
+    std::vector<std::vector<size_t>> CoreTargets(Constraints.size());
     for (size_t I = 0; I < Constraints.size(); ++I) {
       Worklist.push_back(I);
       InWorklist[I] = 1;
     }
 
     while (!Worklist.empty()) {
-      // Obligation fan-out: drain the holding constraints in parallel,
-      // then fall through to process one failure sequentially (its
-      // incremental re-check below is cheap: the wave already cached the
-      // answer, and the session reuses its encoding). The next wave
-      // re-checks the remaining failures against the strengthened
-      // predicates.
-      if (Options.Pool && Worklist.size() > 1) {
-        waveFilter(Worklist, InWorklist, Requeued);
-        if (Worklist.empty())
-          break;
-      }
       size_t CI = Worklist.front();
       Worklist.pop_front();
       InWorklist[CI] = 0;
@@ -660,12 +564,6 @@ private:
   CheckerOptions Options;
   ConditionFlow Flow1, Flow2;
   std::vector<Constraint> Constraints;
-  /// Running wave number for journal attribution (waveFilter).
-  size_t WaveIndex = 0;
-  /// Per constraint: is the recorded core current, and which entry indices
-  /// its last incremental proof blamed (see solveConstraints).
-  std::vector<char> CoreKnown;
-  std::vector<std::vector<size_t>> CoreTargets;
   /// Strengthening-trail lines accumulated for a potential diagnosis.
   std::vector<std::string> Trail;
 };

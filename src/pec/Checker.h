@@ -41,15 +41,13 @@
 
 namespace pec {
 
-class ThreadPool;
-
 struct CheckerOptions {
   uint32_t MaxStrengthenings = 200;
   size_t MaxPathsPerEntry = 512;
   size_t MaxPathLen = 256;
   /// How many intermediate relation points a *response* path may cross.
   /// Slack lets a lagging program catch up across several of its own
-  /// segments (stuttering bisimulation, needed e.g. for hoisting).
+  /// segments (stuttering bisimulation; hoisting's direct proof uses it).
   size_t ResponseSlack = 1;
   /// Location pairs the relation must not contain (set by the driver when
   /// a previous attempt showed a seeded pair to be wrong — removing a pair
@@ -64,14 +62,6 @@ struct CheckerOptions {
   uint32_t MaxMinimizerQueries = 48;
   /// How many strengthening-trail lines a diagnosis records.
   size_t MaxTrailEntries = 16;
-  /// When set, SolveConstraints prefilters each worklist wave in parallel:
-  /// the queued obligations are checked concurrently against the current
-  /// predicates (each worker on a private arena + Atp sharing the prover's
-  /// AtpCache), constraints that hold are retired, and only failures go
-  /// through the sequential strengthen/diagnose path. Pair with an
-  /// AtpCache on the prover — the sequential re-check of a failure then
-  /// hits the cache instead of re-solving (docs/PARALLELISM.md).
-  ThreadPool *Pool = nullptr;
 };
 
 struct CheckerResult {

@@ -33,9 +33,9 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
 
   telemetry::Span RuleSpan("pec.proveRule");
   RuleSpan.arg("rule", R.Name);
-  // Causal root of everything this rule causes (waves, obligations, ATP
-  // queries — across pool threads). Created before the log scope so the
-  // rule lifecycle log events carry this span's ids.
+  // Causal root of everything this rule causes (checks, obligations, ATP
+  // queries). Created before the log scope so the rule lifecycle log
+  // events carry this span's ids.
   trace::Span RuleTrace("rule");
   RuleTrace.attr("rule", R.Name);
   flight::Span FlightSpan("pec.proveRule");
@@ -157,7 +157,6 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
   auto CheckStart = std::chrono::steady_clock::now();
   CheckerOptions CheckOpts = Options.Checker;
   CheckOpts.Diagnose = Options.Diagnose;
-  CheckOpts.Pool = Options.Pool;
   CheckerResult Check;
   // Declared outside the loop so the final (failing) relation is available
   // to the diagnosis DOT rendering below.

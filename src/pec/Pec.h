@@ -36,6 +36,7 @@
 namespace pec {
 
 class AtpCache;
+class ThreadPool;
 
 struct PecOptions {
   CheckerOptions Checker;
@@ -51,11 +52,10 @@ struct PecOptions {
   /// Shared ATP memoization cache (AtpCache.h). Safe to share across
   /// concurrently proved rules; must outlive the proofs.
   AtpCache *Cache = nullptr;
-  /// Thread pool for the Checker's obligation fan-out within this rule
-  /// (copied into Checker.Pool). Rule-level parallelism is the caller's
-  /// business: proveRule itself is thread-safe when each call gets its
-  /// own PecResult — all per-proof state (TermArena, Atp, relation) is
-  /// local (docs/PARALLELISM.md).
+  /// Unused: nothing reads it. Each rule is proved on the calling thread;
+  /// parallelism is per rule and the caller's business (proveRule is
+  /// thread-safe, since all per-proof state is local; docs/PARALLELISM.md).
+  /// Kept only because perfbench/prove_loop.cpp still sets it.
   ThreadPool *Pool = nullptr;
 };
 

@@ -218,9 +218,9 @@ void appendMetrics(std::string &Out, const metrics::Snapshot &S) {
   }
   Out += "},";
   for (metrics::Hist H :
-       {metrics::Hist::RuleProveUs, metrics::Hist::WaveWidth,
-        metrics::Hist::CacheWaitUs, metrics::Hist::PoolTaskUs,
-        metrics::Hist::SatConflictSize, metrics::Hist::TheoryConflictSize}) {
+       {metrics::Hist::RuleProveUs, metrics::Hist::CacheWaitUs,
+        metrics::Hist::PoolTaskUs, metrics::Hist::SatConflictSize,
+        metrics::Hist::TheoryConflictSize}) {
     appendKey(Out, metrics::histName(H));
     appendHistogram(Out, S.hist(H));
     Out += ',';
@@ -758,7 +758,7 @@ bool pec::validateReport(const json::ValuePtr &Report, std::string *Error) {
         return false;
     }
     for (const char *Key :
-         {"rule_prove_us", "wave_width", "cache_wait_us", "pool_task_us",
+         {"rule_prove_us", "cache_wait_us", "pool_task_us",
           "sat_conflict_size", "theory_conflict_size"}) {
       if (!requireField(Metrics, "metrics", Key, json::Kind::Object, Error))
         return false;

@@ -21,8 +21,8 @@
 /// counters are reported only as run-level totals, keeping the per-rule
 /// payload byte-deterministic. v4 adds the top-level `metrics` section:
 /// the pec::metrics registry snapshot — per-purpose ATP latency
-/// histograms with p50/p90/p99/max, rule prove latency, wave width,
-/// cache-wait, pool-task, and SAT/theory conflict-size distributions,
+/// histograms with p50/p90/p99/max, rule prove latency, cache-wait,
+/// pool-task, and SAT/theory conflict-size distributions,
 /// each with a sparse `[lower_bound, count]` bucket array, plus the
 /// monotonic counters. The schema is documented in
 /// docs/OBSERVABILITY.md and docs/DIAGNOSTICS.md and enforced by

@@ -190,12 +190,6 @@ std::string stepDetail(const JournalSpan &S) {
   };
   if (S.Name == "rule")
     return Get("rule");
-  if (S.Name == "wave") {
-    std::string D = "#" + Get("wave");
-    if (!Get("width").empty())
-      D += " width " + Get("width");
-    return D;
-  }
   if (S.Name == "obligation") {
     std::string D = "#" + Get("obligation");
     if (Get("kind") == "strengthen-recheck")
@@ -244,8 +238,8 @@ TimelineAnalysis timeline::analyzeTimeline(const Journal &J) {
 
   // Self time, by per-thread temporal nesting. Causal parentage is the
   // wrong lens here: with a helping work-stealing pool, a thread blocked
-  // in a wave's join loop executes unrelated tasks, and those causally
-  // belong to *other* rules. Each thread runs one thing at a time and
+  // in a task group's join loop executes unrelated tasks, and those
+  // causally belong to *other* rules. Each thread runs one thing at a time and
   // spans are scoped, so per tid the intervals nest — a span's self time
   // is its duration minus its direct temporal children on the same tid.
   // Summed per tid this is an interval union, hence bounded by wall.
@@ -351,8 +345,6 @@ TimelineAnalysis timeline::analyzeTimeline(const Journal &J) {
           ++R.CacheHits;
         if (C != S.Attrs.end() && C->second == "miss")
           ++R.CacheMisses;
-      } else if (S.Name == "wave") {
-        ++R.Waves;
       } else if (S.Name == "obligation") {
         ++R.Obligations;
       }
@@ -448,15 +440,14 @@ std::string timeline::renderTimelineText(const TimelineAnalysis &A) {
   Out += "\n";
 
   appendf(Out, "per-rule attribution (wall vs summed CPU):\n");
-  appendf(Out, "  %-32s %10s %10s %8s %5s %5s %6s %6s\n", "rule", "wall",
-          "cpu", "queries", "hit", "miss", "waves", "oblig");
+  appendf(Out, "  %-32s %10s %10s %8s %5s %5s %6s\n", "rule", "wall", "cpu",
+          "queries", "hit", "miss", "oblig");
   for (const RuleAttribution &R : A.Rules) {
-    appendf(Out, "  %-32s %10s %10s %8llu %5llu %5llu %6llu %6llu%s\n",
+    appendf(Out, "  %-32s %10s %10s %8llu %5llu %5llu %6llu%s\n",
             R.Rule.c_str(), fmtMs(R.WallUs).c_str(), fmtMs(R.CpuUs).c_str(),
             static_cast<unsigned long long>(R.Queries),
             static_cast<unsigned long long>(R.CacheHits),
             static_cast<unsigned long long>(R.CacheMisses),
-            static_cast<unsigned long long>(R.Waves),
             static_cast<unsigned long long>(R.Obligations),
             R.Proved ? "" : "  (not proved)");
   }
@@ -526,7 +517,6 @@ std::string timeline::renderTimelineJson(const TimelineAnalysis &A) {
     Out += ",\"queries\":" + std::to_string(R.Queries);
     Out += ",\"cache_hits\":" + std::to_string(R.CacheHits);
     Out += ",\"cache_misses\":" + std::to_string(R.CacheMisses);
-    Out += ",\"waves\":" + std::to_string(R.Waves);
     Out += ",\"obligations\":" + std::to_string(R.Obligations) + "}";
   }
   Out += "]";

@@ -7,7 +7,7 @@
 /// \file
 /// `pec report timeline`: reads a `pec-journal-v1` run journal (written by
 /// `pec prove --journal FILE`, see support/Trace.h) and reconstructs the
-/// causal span DAG — run -> rule -> check -> wave -> obligation -> query —
+/// causal span DAG — run -> rule -> check -> obligation -> query —
 /// to answer the questions aggregate metrics cannot:
 ///
 ///   * **Critical path**: the causal chain whose length lower-bounds
@@ -21,9 +21,10 @@
 ///     subtree, excluding `cache.wait` spans (blocked, not computing).
 ///     Self time is computed by per-thread temporal nesting, not causal
 ///     parentage: with a helping work-stealing pool, a thread blocked in
-///     a wave's join loop executes unrelated tasks, and those appear as
-///     temporally nested spans on the same tid — subtracting them keeps
-///     every microsecond attributed to exactly one span.
+///     a task group's join loop executes unrelated tasks (other rules),
+///     and those appear as temporally nested spans on the same tid —
+///     subtracting them keeps every microsecond attributed to exactly one
+///     span.
 ///   * **Scheduler utilization and wasted work**: summed self time is a
 ///     per-thread interval union, so busy / (threads x wall) is a true
 ///     <= 100% utilization; plus single-flight cache waits, strengthening
@@ -104,7 +105,6 @@ struct RuleAttribution {
   uint64_t Queries = 0;
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
-  uint64_t Waves = 0;
   uint64_t Obligations = 0;
   bool Proved = false;
 };

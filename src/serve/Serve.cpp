@@ -141,7 +141,6 @@ struct Server {
   PecOptions proveOptions() {
     PecOptions Options;
     Options.Cache = &Cache;
-    Options.Pool = &Pool;
     Options.Atp.QueryBudgetMs = Opts.QueryBudgetMs;
     return Options;
   }

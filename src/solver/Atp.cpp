@@ -105,35 +105,6 @@ void replayDelta(AtpStats &S, const AtpCache::WorkDelta &D) {
 
 } // namespace
 
-void AtpStats::merge(const AtpStats &Other) {
-  Queries += Other.Queries;
-  TheoryChecks += Other.TheoryChecks;
-  TheoryConflicts += Other.TheoryConflicts;
-  TheoryPropagations += Other.TheoryPropagations;
-  TheoryPops += Other.TheoryPops;
-  SatConflicts += Other.SatConflicts;
-  SatDecisions += Other.SatDecisions;
-  Propagations += Other.Propagations;
-  Restarts += Other.Restarts;
-  LearnedClauses += Other.LearnedClauses;
-  DeletedClauses += Other.DeletedClauses;
-  AssumptionSolves += Other.AssumptionSolves;
-  AssumptionCores += Other.AssumptionCores;
-  CoreLiterals += Other.CoreLiterals;
-  Microseconds += Other.Microseconds;
-  CacheHits += Other.CacheHits;
-  CacheMisses += Other.CacheMisses;
-  CacheBypasses += Other.CacheBypasses;
-  BudgetExhausted += Other.BudgetExhausted;
-  SatClosed += Other.SatClosed;
-  EgraphNodes += Other.EgraphNodes;
-  SaturateRebuildMicros += Other.SaturateRebuildMicros;
-  for (size_t I = 0; I < telemetry::NumPurposes; ++I) {
-    ByPurpose[I].Queries += Other.ByPurpose[I].Queries;
-    ByPurpose[I].Microseconds += Other.ByPurpose[I].Microseconds;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Pre-solve stages
 //===----------------------------------------------------------------------===//

@@ -81,11 +81,6 @@ struct AtpStats {
   uint64_t SaturateRebuildMicros = 0; ///< Wall-clock inside saturation.
   /// Breakdown of Queries/Microseconds by query purpose.
   AtpPurposeStats ByPurpose[telemetry::NumPurposes];
-
-  /// Accumulates \p Other into this (all counters and purpose slices).
-  /// The Checker uses this to merge worker-thread stats back into the
-  /// rule's prover in deterministic (submission) order.
-  void merge(const AtpStats &Other);
 };
 
 /// Configuration knobs (exposed for the ablation benchmarks).
@@ -294,15 +289,11 @@ public:
   TermArena &arena() { return Arena; }
   const AtpStats &stats() const { return Stats; }
   void resetStats() { Stats = AtpStats(); }
-  const AtpOptions &options() const { return Options; }
 
   /// Attaches a shared memoization cache (AtpCache.h). Queries then check
   /// the cache first; answers this instance computes are published to it.
   /// The cache must outlive the Atp. Pass nullptr to detach.
   void setCache(AtpCache *Cache) { TheCache = Cache; }
-  AtpCache *cache() const { return TheCache; }
-
-  void mergeStats(const AtpStats &Other) { Stats.merge(Other); }
 
 private:
   class CacheStage;

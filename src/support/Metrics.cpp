@@ -58,8 +58,6 @@ const char *metrics::histName(Hist H) {
     return "atp_query_us";
   case Hist::RuleProveUs:
     return "rule_prove_us";
-  case Hist::WaveWidth:
-    return "wave_width";
   case Hist::CacheWaitUs:
     return "cache_wait_us";
   case Hist::PoolTaskUs:

@@ -10,9 +10,9 @@
 /// (docs/OBSERVABILITY.md). This is the aggregate-statistics complement to
 /// `pec::telemetry`, which stays the opt-in *tracing* layer: telemetry
 /// answers "what did this run do, event by event", metrics answer "what do
-/// runs look like in the tail" — p50/p90/p99 query latencies, wave widths,
-/// conflict-size distributions — the numbers a long-lived `pec serve`
-/// daemon will be scraped for.
+/// runs look like in the tail" — p50/p90/p99 query latencies, rule
+/// latencies, conflict-size distributions — the numbers a long-lived
+/// `pec serve` daemon will be scraped for.
 ///
 /// Design:
 ///
@@ -88,13 +88,12 @@ enum class Hist : unsigned {
   AtpQueryUsStrengthening,   ///< atp_query_us{purpose="strengthening"}
   AtpQueryUsMinimize,        ///< atp_query_us{purpose="minimize"}
   RuleProveUs,               ///< End-to-end proveRule wall-clock.
-  WaveWidth,                 ///< Checker obligation-wave constraint count.
   CacheWaitUs,               ///< Single-flight blocking time in AtpCache.
   PoolTaskUs,                ///< ThreadPool task execution latency.
   SatConflictSize,           ///< Learnt clause length per CDCL conflict.
   TheoryConflictSize,        ///< Theory conflict core literal count.
 };
-constexpr size_t NumHists = 12;
+constexpr size_t NumHists = 11;
 
 /// The latency histogram for queries tagged with \p P.
 inline Hist atpQueryHist(telemetry::Purpose P) {

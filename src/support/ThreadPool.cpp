@@ -88,7 +88,7 @@ void ThreadPool::submit(std::function<void()> Task) {
 bool ThreadPool::tryRunOneTask() {
   std::function<void()> Task;
   int Self = selfIndex();
-  // Own deque first (back = most recently pushed, keeps nested waves hot).
+  // Own deque first (back = most recently pushed, keeps nested groups hot).
   if (Self >= 0) {
     WorkerDeque &D = Deques[Self];
     std::lock_guard<std::mutex> Lock(D.Mutex);
@@ -153,8 +153,8 @@ void TaskGroup::spawn(std::function<void()> Task) {
 void TaskGroup::wait() {
   while (Pending.load(std::memory_order_acquire) != 0) {
     // Help: run pool tasks (ours or anyone's) instead of blocking. This is
-    // what makes nested TaskGroups safe — a rule-level task waiting on its
-    // obligation wave executes the wave itself if no worker is free.
+    // what makes nested TaskGroups safe — a task waiting on its own group
+    // executes that group's tasks itself if no worker is free.
     if (Pool.tryRunOneTask())
       continue;
     // Nothing runnable anywhere; our remaining tasks are executing on

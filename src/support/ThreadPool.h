@@ -6,16 +6,15 @@
 ///
 /// \file
 /// The `pec::parallel` scheduler: a work-stealing thread pool used to prove
-/// the rules of a `.rules` file concurrently and, one level down, to
-/// fan out the proof obligations of a single rule inside the Checker
+/// the rules of a `.rules` file concurrently, one rule per task
 /// (docs/PARALLELISM.md has the full design).
 ///
 /// Structure: each worker owns a deque of tasks; the owner pushes and pops
 /// at the back, idle workers steal from the front of a victim's deque.
 /// `TaskGroup` tracks a batch of spawned tasks; `TaskGroup::wait()` *helps*
 /// — a waiter that is itself a pool worker executes pending tasks instead
-/// of blocking, which makes nested parallelism (a rule-level task spawning
-/// an obligation-level wave) deadlock-free even on a pool of one thread.
+/// of blocking, which makes nested parallelism (a task spawning and
+/// waiting on its own group) deadlock-free even on a pool of one thread.
 ///
 /// Tasks must not throw: the PEC pipeline reports errors by value
 /// (`Expected`, `CheckerResult`), and a throwing task would terminate.

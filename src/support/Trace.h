@@ -12,7 +12,7 @@
 /// own SpanId, and the SpanId of the span that caused it — including
 /// across `ThreadPool::submit`, which captures the submitting context and
 /// re-installs it on the executing worker. The result is the causal DAG
-/// rule → wave → obligation → ATP query that `pec report timeline`
+/// rule → check → obligation → ATP query that `pec report timeline`
 /// reconstructs to compute the critical path and wasted-work accounting.
 ///
 /// Output is an append-only JSONL **run journal** (`--journal FILE`),
@@ -24,7 +24,7 @@
 ///   {"ev":"e","ts":90,"span":7}                          span end
 ///   {"ev":"i","ts":55,"span":7,"tid":2,"name":"core_skip",...}  instant
 ///
-/// Attribution fields (rule, wave, obligation, purpose, cache, ...) are
+/// Attribution fields (rule, obligation, purpose, cache, ...) are
 /// flat string members on the end line — a span's attrs are often only
 /// known mid-flight (cache hit/miss, verdict), so the begin line is
 /// written eagerly for causal ordering and the end line carries the

@@ -432,7 +432,6 @@ std::vector<RuleReport> runProofs(const std::vector<Rule> &Rules,
 
   if (Opts.Jobs > 1) {
     ThreadPool Pool(Opts.Jobs);
-    Options.Pool = &Pool;
     TaskGroup Group(Pool);
     for (size_t I = 0; I < Rules.size(); ++I)
       Group.spawn([&Rules, &Reports, &Options, I] {

@@ -45,8 +45,8 @@ uint64_t epochValue(uint64_t I) { return (I * 37 + I * I) % 9000; }
 
 TEST(MetricsBuckets, ExactBelowTwiceSubBuckets) {
   // Below 2*SubBuckets every value gets its own bucket (and the index
-  // happens to equal the value) — small counts like wave widths and
-  // conflict sizes are recorded exactly.
+  // happens to equal the value) — small counts like conflict sizes are
+  // recorded exactly.
   for (uint64_t V = 0; V < 2 * metrics::SubBuckets; ++V) {
     unsigned Idx = metrics::bucketIndex(V);
     EXPECT_EQ(Idx, V);
@@ -144,7 +144,7 @@ metrics::Snapshot runRecordingEpoch(unsigned Threads, unsigned Tasks) {
     TaskGroup Group(Pool);
     for (uint64_t I = 0; I < Tasks; ++I)
       Group.spawn([I] {
-        metrics::record(metrics::Hist::WaveWidth, epochValue(I));
+        metrics::record(metrics::Hist::SatConflictSize, epochValue(I));
         metrics::add(metrics::Counter::SlowQueries);
       });
     Group.wait();
@@ -164,7 +164,7 @@ TEST(MetricsRegistry, ShardMergeIsDeterministicUnderThreadPool) {
   metrics::Snapshot B = runRecordingEpoch(8, Tasks);
   metrics::Snapshot C = runRecordingEpoch(2, Tasks);
   for (const metrics::Snapshot *S : {&A, &B, &C}) {
-    EXPECT_TRUE(S->hist(metrics::Hist::WaveWidth) == Ref);
+    EXPECT_TRUE(S->hist(metrics::Hist::SatConflictSize) == Ref);
     EXPECT_EQ(S->counter(metrics::Counter::SlowQueries), Tasks);
     EXPECT_EQ(S->gauge(metrics::Gauge::PoolQueueDepth), 0);
     EXPECT_EQ(S->gauge(metrics::Gauge::PoolWorkers), 0);
@@ -181,15 +181,16 @@ TEST(MetricsRegistry, ShardMergeIsDeterministicUnderThreadPool) {
 TEST(MetricsPrometheus, RendererEmitsTypedFamilies) {
   metrics::resetForTest();
   metrics::add(metrics::Counter::AtpCacheHits, 3);
-  metrics::record(metrics::Hist::WaveWidth, 5);
-  metrics::record(metrics::Hist::WaveWidth, 700);
+  metrics::record(metrics::Hist::SatConflictSize, 5);
+  metrics::record(metrics::Hist::SatConflictSize, 700);
   std::string Text = metrics::renderPrometheus(metrics::snapshot());
   EXPECT_NE(Text.find("# TYPE pec_atp_cache_hits_total counter"),
             std::string::npos);
   EXPECT_NE(Text.find("pec_atp_cache_hits_total 3"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE pec_wave_width histogram"), std::string::npos);
-  EXPECT_NE(Text.find("pec_wave_width_count 2"), std::string::npos);
-  EXPECT_NE(Text.find("pec_wave_width_sum 705"), std::string::npos);
+  EXPECT_NE(Text.find("# TYPE pec_sat_conflict_size histogram"),
+            std::string::npos);
+  EXPECT_NE(Text.find("pec_sat_conflict_size_count 2"), std::string::npos);
+  EXPECT_NE(Text.find("pec_sat_conflict_size_sum 705"), std::string::npos);
   EXPECT_NE(Text.find("le=\"+Inf\""), std::string::npos);
   // Per-purpose slices share one family header with purpose labels.
   EXPECT_NE(Text.find("# TYPE pec_atp_query_us histogram"),

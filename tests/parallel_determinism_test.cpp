@@ -3,7 +3,8 @@
 // The acceptance bar for pec::parallel (docs/PARALLELISM.md): repeated
 // `--jobs 8` runs over figure11.rules and unsound.rules produce
 // byte-identical reports modulo timing fields, `--jobs 4` proves exactly
-// the rule set `--jobs 1` proves, and the shared ATP cache actually hits.
+// the rule set `--jobs 1` proves with the same per-rule work counts, and
+// the shared ATP cache actually hits.
 // Everything goes through the CLI so the whole pipeline — scheduler,
 // cache, stats replay, report rendering — is under test, not a unit.
 //
@@ -89,6 +90,30 @@ std::map<std::string, bool> provedSet(const std::string &Doc) {
   return Out;
 }
 
+/// Per rule, the work counts that must not depend on --jobs: ATP queries
+/// (in total and per purpose), strengthenings and path pairs.
+std::map<std::string, std::map<std::string, double>>
+ruleCounts(const std::string &Doc) {
+  std::map<std::string, std::map<std::string, double>> Out;
+  std::string Error;
+  json::ValuePtr Report = json::parse(Doc, &Error);
+  EXPECT_TRUE(Report != nullptr) << Error;
+  if (!Report)
+    return Out;
+  for (const json::ValuePtr &Rule : Report->get("rules")->array()) {
+    std::map<std::string, double> &Counts =
+        Out[Rule->get("name")->stringValue()];
+    json::ValuePtr Atp = Rule->get("atp");
+    Counts["atp.queries"] = Atp->get("queries")->numberValue();
+    for (const auto &[Purpose, Slice] : Atp->get("by_purpose")->object())
+      Counts["atp.by_purpose." + Purpose + ".queries"] =
+          Slice->get("queries")->numberValue();
+    Counts["strengthenings"] = Rule->get("strengthenings")->numberValue();
+    Counts["path_pairs"] = Rule->get("path_pairs")->numberValue();
+  }
+  return Out;
+}
+
 TEST(ParallelDeterminism, Figure11RepeatsByteIdentical) {
   std::string First = normalizeTimings(proveJson("figure11.rules", 8));
   std::string Second = normalizeTimings(proveJson("figure11.rules", 8));
@@ -106,12 +131,17 @@ TEST(ParallelDeterminism, UnsoundRulesRepeatByteIdentical) {
 }
 
 TEST(ParallelDeterminism, JobCountDoesNotChangeOutcomes) {
-  std::map<std::string, bool> Sequential =
-      provedSet(proveJson("figure11.rules", 1));
-  std::map<std::string, bool> Parallel =
-      provedSet(proveJson("figure11.rules", 4));
-  ASSERT_FALSE(Sequential.empty());
-  EXPECT_EQ(Sequential, Parallel);
+  // Parallelism is per rule, and each rule runs on one thread with its
+  // own incremental session, so --jobs must change neither a verdict nor
+  // any rule's work counts.
+  for (const char *File : {"figure11.rules", "unsound.rules"}) {
+    SCOPED_TRACE(File);
+    std::string Sequential = proveJson(File, 1);
+    std::string Parallel = proveJson(File, 4);
+    ASSERT_FALSE(provedSet(Sequential).empty());
+    EXPECT_EQ(provedSet(Sequential), provedSet(Parallel));
+    EXPECT_EQ(ruleCounts(Sequential), ruleCounts(Parallel));
+  }
 }
 
 TEST(ParallelDeterminism, CacheHitsAreNonzeroAndSchedulingIndependent) {

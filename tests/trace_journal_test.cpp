@@ -109,7 +109,6 @@ TEST(TraceJournal, PoolRunIsWellFormed) {
   EXPECT_EQ(A.CoreSkips, 32u);
   for (const RuleAttribution &R : A.Rules) {
     EXPECT_TRUE(R.Proved) << R.Rule;
-    EXPECT_EQ(R.Waves, 1u) << R.Rule;
     EXPECT_EQ(R.Obligations, 4u) << R.Rule;
   }
 }
