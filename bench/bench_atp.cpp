@@ -130,42 +130,6 @@ void BM_ConflictMinimizationOff(benchmark::State &State) {
 BENCHMARK(BM_ConflictMinimizationOn);
 BENCHMARK(BM_ConflictMinimizationOff);
 
-/// Equality-saturation pre-solve stage ON vs OFF on the workload it
-/// exists for: a step-chain congruence obligation the e-graph closes by
-/// pure congruence (zero SAT work when ON; a full DPLL(T) round trip per
-/// query when OFF). The suite-level A/B lives in CI (`--no-saturate`
-/// against the Figure 11 report).
-void runSaturationQuery(bool Saturate, benchmark::State &State) {
-  AtpOptions Options;
-  Options.Saturate = Saturate;
-  for (auto _ : State) {
-    TermArena A;
-    Atp Prover(A, Options);
-    TermId S1 = A.mkSymConst(Symbol::get("s1"), Sort::State);
-    TermId S2 = A.mkSymConst(Symbol::get("s2"), Sort::State);
-    Symbol Step = Symbol::get("step$");
-    TermId L = S1, R = S2;
-    for (int I = 0; I < 16; ++I) {
-      L = A.mkApply(Step, {L}, Sort::State);
-      R = A.mkApply(Step, {R}, Sort::State);
-    }
-    bool Valid = Prover
-                     .query(AtpQuery::validity(Formula::mkImplies(
-                         Formula::mkEq(A, S1, S2), Formula::mkEq(A, L, R))))
-                     .Verdict;
-    benchmark::DoNotOptimize(Valid);
-  }
-}
-
-void BM_SaturateOn(benchmark::State &State) {
-  runSaturationQuery(true, State);
-}
-void BM_SaturateOff(benchmark::State &State) {
-  runSaturationQuery(false, State);
-}
-BENCHMARK(BM_SaturateOn);
-BENCHMARK(BM_SaturateOff);
-
 /// Conflict-heavy mixed EUF+LIA workload shared by the search-schedule
 /// ablations below: an unsat `<=` chain buried under boolean chaff (many
 /// two-way splits the SAT core must branch through), so restarts, clause-

@@ -386,7 +386,6 @@ DiffSummary pec::fuzz::runDifferential(const RuleFile &Rules,
   std::vector<RuleVerdict> Verdicts(Rules.Rules.size());
   PecOptions PO;
   PO.Atp.QueryBudgetMs = Options.QueryBudgetMs;
-  PO.Atp.Saturate = Options.Saturate;
   PO.UserFacts = Rules.Facts;
   PO.Diagnose = true;
   for (size_t I = 0; I < Rules.Rules.size(); ++I) {

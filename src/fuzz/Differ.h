@@ -58,10 +58,6 @@ struct DiffOptions {
   GenOptions Gen;
   /// Per-query prover wall-clock budget (AtpOptions::QueryBudgetMs).
   uint64_t QueryBudgetMs = 2000;
-  /// Equality-saturation pre-solve stage (AtpOptions::Saturate). The
-  /// fixed-seed differential gate runs the same corpus with this on and
-  /// off and requires identical verdicts.
-  bool Saturate = true;
   unsigned Jobs = 1;
   /// Treat every rule as proved, including checker-rejected ones. This is
   /// the planted-unsound pipeline test (and the negative-scenario mode):

@@ -80,13 +80,6 @@ void appendAtp(std::string &Out, const AtpStats &S) {
   Out += ',';
   appendUint(Out, "core_literals", S.CoreLiterals);
   Out += ',';
-  // v6 addition: queries the equality-saturation stage closed for this
-  // rule. Replayed through the cache WorkDelta, so the count is
-  // scheduling-independent like every other solver counter here; the
-  // other saturation gauges (e-graph nodes, rebuild time) are run-level
-  // only (the `saturation` section).
-  appendUint(Out, "sat_closed", S.SatClosed);
-  Out += ',';
   appendKey(Out, "by_purpose");
   Out += '{';
   for (size_t P = 0; P < NumPurposes; ++P) {
@@ -281,15 +274,11 @@ std::string pec::renderJsonReport(const std::string &Command,
                                   const std::vector<RuleReport> &Rules,
                                   const RunInfo *Run) {
   uint64_t Proved = 0, AtpQueries = 0, AtpMicros = 0;
-  uint64_t SatClosed = 0, EgraphNodes = 0, RebuildMicros = 0;
   double Seconds = 0;
   for (const RuleReport &R : Rules) {
     Proved += R.Result.Proved ? 1 : 0;
     AtpQueries += R.Result.Atp.Queries;
     AtpMicros += R.Result.Atp.Microseconds;
-    SatClosed += R.Result.Atp.SatClosed;
-    EgraphNodes += R.Result.Atp.EgraphNodes;
-    RebuildMicros += R.Result.Atp.SaturateRebuildMicros;
     Seconds += R.Result.Seconds;
   }
 
@@ -348,21 +337,6 @@ std::string pec::renderJsonReport(const std::string &Command,
   appendUint(Out, "checkpoint_ms", Run->Cache.CheckpointMicros / 1000);
   Out += ',';
   appendSeconds(Out, "hit_rate", Run->Cache.hitRate());
-  Out += "},";
-  // v6: the equality-saturation pre-solve stage (docs/SOLVER.md). The
-  // node and rebuild-time gauges are reported only here as run totals:
-  // their per-rule attribution depends on which worker missed the cache
-  // first, while the run-level sums are scheduling-independent
-  // (single-flight makes every distinct key miss exactly once, and the
-  // per-query e-graphs are history-free). rebuild_us is timing, masked
-  // like every *_us key by the determinism harness.
-  appendKey(Out, "saturation");
-  Out += '{';
-  appendUint(Out, "sat_closed", SatClosed);
-  Out += ',';
-  appendUint(Out, "egraph_nodes", EgraphNodes);
-  Out += ',';
-  appendUint(Out, "rebuild_us", RebuildMicros);
   Out += "},";
   appendMetrics(Out, Run->Metrics);
   Out += ',';
@@ -532,12 +506,10 @@ bool validateAtp(const json::ValuePtr &Atp, const std::string &Path,
   // assumption solves, online theory propagation, assumption-level unsat
   // cores) are additive: older v3 documents lack them, so they are only
   // type-checked when present.
-  // `sat_closed` (v6) is additive in the same way: absent before the
-  // equality-saturation stage existed, type-checked when present.
   for (const char *Key :
        {"restarts", "learned_clauses", "deleted_clauses",
         "assumption_solves", "theory_propagations", "theory_pops",
-        "assumption_cores", "core_literals", "sat_closed"}) {
+        "assumption_cores", "core_literals"}) {
     json::ValuePtr V = Atp->get(Key);
     if (V && !V->isNumber())
       return failV(Error, Path + ": field '" + std::string(Key) +
@@ -687,17 +659,6 @@ bool pec::validateReport(const json::ValuePtr &Report, std::string *Error) {
     Version = 6;
   else
     return failV(Error, "report: unknown schema '" + Schema + "'");
-
-  if (Version >= 6) {
-    // v6: the run-level equality-saturation section.
-    if (!requireField(Report, "report", "saturation", json::Kind::Object,
-                      Error))
-      return false;
-    json::ValuePtr Sat = Report->get("saturation");
-    for (const char *Key : {"sat_closed", "egraph_nodes", "rebuild_us"})
-      if (!requireField(Sat, "saturation", Key, json::Kind::Number, Error))
-        return false;
-  }
 
   if (Version >= 3) {
     // v3: run-level parallelism and ATP-cache sections are mandatory.
@@ -1053,31 +1014,6 @@ ReportDiff pec::diffReports(const json::ValuePtr &Old,
       else
         D.Notes.push_back(std::string(Buf) + " meets the minimum " +
                           std::to_string(Options.MinHitRate));
-    }
-  }
-
-  // Saturation-effectiveness gate (opt-in, `--min-sat-closed`): the NEW
-  // report must show the equality-saturation stage closing at least N
-  // queries. A report predating v6 (no `saturation` section) or a run
-  // with the stage disabled fails outright — a CI lane dropping the
-  // stage should not pass silently.
-  if (Options.MinSatClosed > 0) {
-    json::ValuePtr Sat = New->get("saturation");
-    json::ValuePtr Closed = Sat ? Sat->get("sat_closed") : nullptr;
-    if (!Closed || !Closed->isNumber()) {
-      D.Regressions.push_back(
-          "saturation gate: the new report has no saturation.sat_closed "
-          "(minimum " + std::to_string(Options.MinSatClosed) + ")");
-    } else {
-      uint64_t Got = static_cast<uint64_t>(Closed->numberValue());
-      if (Got < Options.MinSatClosed)
-        D.Regressions.push_back(
-            "saturation gate: sat_closed " + std::to_string(Got) +
-            " below the minimum " + std::to_string(Options.MinSatClosed));
-      else
-        D.Notes.push_back("saturation closed " + std::to_string(Got) +
-                          " queries (minimum " +
-                          std::to_string(Options.MinSatClosed) + ")");
     }
   }
 

@@ -35,14 +35,9 @@
 /// store), and the `load_ms`/`checkpoint_ms` wall times of the store
 /// load and of all checkpoints. All four are deterministically zero for
 /// runs without `--cache-dir`, so report byte-determinism across
-/// schedules is preserved. v6 adds the equality-saturation pre-solve
-/// stage (docs/SOLVER.md): a top-level `saturation` section with the run
-/// totals `sat_closed` (queries the stage answered with zero SAT work),
-/// `egraph_nodes` (e-nodes interned across all saturators), and
-/// `rebuild_us` (wall time inside congruence rebuilds; a timing key,
-/// masked like the others by the determinism harness), plus an additive
-/// per-rule `atp.sat_closed` counter that rides the cache WorkDelta and
-/// is therefore scheduling-independent.
+/// schedules is preserved. v6 is the current name; its documents have
+/// the v5 shape, because the one section v6 added described a pre-solve
+/// stage that no longer exists.
 ///
 /// `diffReports` compares two report documents — proved-set changes,
 /// per-rule time and ATP-query deltas under a configurable tolerance, and
@@ -117,9 +112,9 @@ std::string renderCacheStatsTable(const AtpCacheStats &C);
 /// top-level `parallelism` and `cache` sections; v4 additionally
 /// requires the `metrics` section with per-purpose ATP latency
 /// percentiles; v5 additionally requires the persistent-store cache
-/// fields `disk_hits`/`disk_entries`/`load_ms`/`checkpoint_ms`; v6
-/// additionally requires the top-level `saturation` section). On
-/// failure returns false and describes the first violation in \p Error.
+/// fields `disk_hits`/`disk_entries`/`load_ms`/`checkpoint_ms`, and so
+/// does v6). On failure returns false and describes the first violation
+/// in \p Error.
 bool validateReport(const json::ValuePtr &Report, std::string *Error);
 
 /// Tolerances for diffReports. A metric regresses only when it exceeds the
@@ -152,12 +147,6 @@ struct ReportDiffOptions {
   /// not pass silently. The v5 disk/memory hit split is reported as a
   /// note alongside.
   double MinHitRate = 0;
-  /// Saturation-effectiveness gate (`pec report diff --min-sat-closed N`):
-  /// the NEW report's run-level `saturation.sat_closed` must be at least
-  /// N. Disabled at 0. A new report without a v6 `saturation` section
-  /// fails the gate outright — a CI lane silently dropping the
-  /// equality-saturation stage should not pass.
-  uint64_t MinSatClosed = 0;
 };
 
 /// Outcome of comparing two report documents.

@@ -11,7 +11,6 @@
 #include "solver/AtpCache.h"
 #include "support/Escape.h"
 #include "support/FlightRecorder.h"
-#include "support/Metrics.h"
 #include "support/Json.h"
 #include "support/Log.h"
 #include "support/ThreadPool.h"
@@ -389,14 +388,6 @@ std::string handleStats(Server &S) {
   appendUint(Out, "load_ms", C.LoadMicros / 1000);
   Out += ',';
   appendUint(Out, "checkpoint_ms", C.CheckpointMicros / 1000);
-  Out += "},";
-  // Equality-saturation closures across the daemon's lifetime (the
-  // pre-solve stage answering without SAT work), from the process-wide
-  // metrics registry.
-  appendKey(Out, "saturation");
-  Out += '{';
-  appendUint(Out, "sat_closed",
-             metrics::snapshot().counter(metrics::Counter::AtpSatClosed));
   Out += "},";
   // The same human table `pec prove --cache-stats` prints, so daemon and
   // CLI read identically.

@@ -9,22 +9,18 @@
 /// theorem prover: a validity / satisfiability checker for ground formulas
 /// over EUF + LIA + the select/store state theory.
 ///
-/// Architecture: every call enters through `Atp::query(AtpQuery)` and runs
-/// down an explicit pre-solve pipeline before any search:
+/// Architecture: every call enters through `Atp::query(AtpQuery)`, which
+/// runs two steps:
 ///
-///   1. cache lookup — the shared canonicalizing AtpCache (AtpCache.h);
-///   2. equality saturation — an e-graph pass over the background axioms
-///      (Saturate.h) that closes congruence/arithmetic obligations with
-///      zero SAT work;
-///   3. DPLL(T) — array read-over-write lemma expansion, Tseitin CNF, a
+///   1. cache lookup — the shared canonicalizing AtpCache (AtpCache.h), for
+///      Validity/Satisfiability queries when a cache is attached;
+///   2. DPLL(T) — array read-over-write lemma expansion, Tseitin CNF, a
 ///      CDCL SAT core, and lazy theory checking with QuickXplain conflict
 ///      minimization (the engine lives in Smt.h as a session so it can
 ///      persist across queries).
 ///
-/// Stages implement the PreSolveStage interface below and are ordered in
-/// the Atp constructor; Assumptions-kind queries skip the cache (session
-/// state is the locality the cache would provide) but still pass through
-/// saturation on the persistent per-rule e-graph.
+/// Assumptions-kind queries skip the cache: session state is the locality
+/// the cache would provide, and cores are session-relative.
 ///
 /// Answers are one-sided safe: resource exhaustion degrades a validity
 /// query to `false` (PEC then conservatively rejects the optimization),
@@ -41,7 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,10 +70,11 @@ struct AtpStats {
   uint64_t CacheMisses = 0;     ///< Queries this Atp solved and published.
   uint64_t CacheBypasses = 0;   ///< Model-wanting queries re-solved locally.
   uint64_t BudgetExhausted = 0; ///< Queries abandoned at the wall-clock budget.
-  uint64_t SatClosed = 0;       ///< Queries closed by equality saturation
-                                ///< (zero SAT work; replayed on cache hits).
-  uint64_t EgraphNodes = 0;     ///< E-nodes interned by the saturators.
-  uint64_t SaturateRebuildMicros = 0; ///< Wall-clock inside saturation.
+  /// Never written, so always zero. Kept only because
+  /// perfbench/prove_loop.cpp still reads them.
+  uint64_t SatClosed = 0;
+  uint64_t EgraphNodes = 0;
+  uint64_t SaturateRebuildMicros = 0;
   /// Breakdown of Queries/Microseconds by query purpose.
   AtpPurposeStats ByPurpose[telemetry::NumPurposes];
 };
@@ -109,15 +105,6 @@ struct AtpOptions {
   /// catches crossed bounds before the full simplex gate. Off degrades to
   /// EUF-only partial checks; bench_atp carries the A/B.
   bool LiaBoundPropagation = true;
-  /// Equality-saturation pre-solve stage (Saturate.h): canonicalizes the
-  /// goal for the cache key and closes congruence/arithmetic obligations
-  /// before DPLL(T). `--no-saturate` / bench_atp carry the A/B; verdicts
-  /// are identical either way (saturation only answers with a proof).
-  bool Saturate = true;
-  /// Saturation safety valves — never expected to trip (the rewrite
-  /// system is strictly simplifying); exposed for the budget tests.
-  uint32_t SaturateNodeBudget = 1u << 17;
-  uint32_t SaturateIterBudget = 32;
   // SAT search schedule (SatConfig mirrors; exposed for bench ablations).
   uint64_t LubyRestartBase = 100;
   uint32_t LearntBudget = 2000;
@@ -152,9 +139,9 @@ struct AtpModel {
 };
 
 /// One prover call, with everything the call wants named up front. This is
-/// the single entry point the pipeline stages, accounting, and solving
-/// logic key off; the Kind also tags the cache key, so validity and
-/// satisfiability answers for one goal never collide.
+/// the single entry point the cache, accounting, and solving logic key
+/// off; the Kind also tags the cache key, so validity and satisfiability
+/// answers for one goal never collide.
 struct AtpQuery {
   enum class Kind {
     Validity,       ///< Is Goal true in every model?
@@ -218,48 +205,8 @@ struct AtpResult {
   std::vector<size_t> Core;
 };
 
-/// One stage of the pre-solve pipeline that Atp::query runs a query
-/// through before falling back to DPLL(T).
-///
-/// Contract — one-sided safety: a stage may *answer* a query (return an
-/// AtpResult it can prove, sparing all downstream work) or *decline*
-/// (return nullopt, passing the query on unchanged), but it must never
-/// produce a verdict the fallback solver could contradict. The cache
-/// stage satisfies this because equal canonical keys imply equivalent
-/// queries answered by the same deterministic solver; the saturation
-/// stage because it only answers with a derivation (a congruence proof of
-/// validity, a derived contradiction for unsatisfiability). A stage that
-/// merely *simplifies* must preserve logical equivalence of the goal.
-///
-/// Stages run in pipeline order; the first answer wins. Once an answer
-/// exists (from a later stage or the fallback solver), onSolved() is
-/// invoked on every earlier stage that declined, in reverse order — the
-/// cache stage uses this to fulfill its single-flight reservation with
-/// whatever the rest of the pipeline produced.
-class PreSolveStage {
-public:
-  virtual ~PreSolveStage() = default;
-
-  /// Stable stage name (trace attribution, debugging).
-  virtual const char *name() const = 0;
-
-  /// Try to answer \p Q. May mutate per-query bookkeeping but must leave
-  /// the query's meaning intact.
-  virtual std::optional<AtpResult> simplify(AtpQuery &Q) = 0;
-
-  /// Called on declining stages (reverse order) once \p R is known.
-  virtual void onSolved(const AtpQuery &Q, const AtpResult &R) {
-    (void)Q;
-    (void)R;
-  }
-};
-
 class AtpCache;
 class SmtSession;
-class Saturator;
-namespace trace {
-class Span;
-}
 
 /// Thread-safety audit (docs/PARALLELISM.md): an Atp instance is
 /// single-thread confined — it mutates its TermArena (hash-consing) and
@@ -270,20 +217,18 @@ class Span;
 class Atp {
 public:
   explicit Atp(TermArena &Arena, AtpOptions Options = {});
-  ~Atp(); // Out of line: owns the (forward-declared) session + saturator.
+  ~Atp(); // Out of line: owns the (forward-declared) session.
 
-  /// The single prover entry point: runs \p Q down the pre-solve pipeline
-  /// (cache lookup, equality saturation — see PreSolveStage) and falls
-  /// back to DPLL(T), returning the verdict plus whatever artifacts
-  /// (model, unsat core) the query asked for. Validity/Satisfiability
-  /// verdicts are served from / published to the attached AtpCache under
-  /// the saturation-canonicalized key; Assumptions queries skip the cache
-  /// and run on this instance's *persistent* session (docs/SOLVER.md,
+  /// The single prover entry point: answers \p Q from the attached
+  /// AtpCache when it can, else with DPLL(T), returning the verdict plus
+  /// whatever artifacts (model, unsat core) the query asked for.
+  /// Validity/Satisfiability verdicts are served from / published to the
+  /// cache under canonicalQueryKey; Assumptions queries skip the cache and
+  /// run on this instance's *persistent* session (docs/SOLVER.md,
   /// "Incremental solving") — session state is exactly the locality the
-  /// cache would otherwise provide — with saturation sharing one e-graph
-  /// across all obligations of the rule. Every formula is held by
-  /// assumption for the one call, so nothing needs retracting when the
-  /// checker strengthens a predicate and never queries the old one again.
+  /// cache would otherwise provide. Every formula is held by assumption
+  /// for the one call, so nothing needs retracting when the checker
+  /// strengthens a predicate and never queries the old one again.
   AtpResult query(const AtpQuery &Q);
 
   TermArena &arena() { return Arena; }
@@ -296,26 +241,9 @@ public:
   void setCache(AtpCache *Cache) { TheCache = Cache; }
 
 private:
-  class CacheStage;
-  class SaturateStage;
-
   AtpResult solveOneShot(const AtpQuery &Q);
   AtpResult solveAssumptions(const AtpQuery &Q);
   void minimizeAssumptionCore(const AtpQuery &Q, AtpResult &R);
-
-  /// The saturator serving the current query, created on first use:
-  /// Assumptions queries share the persistent per-rule instance (one
-  /// e-graph across all obligations); cacheable one-shot kinds get a
-  /// fresh per-query instance so canonical forms and work deltas are
-  /// history-independent (the same reason solveOneShot uses a fresh
-  /// SmtSession). Returns nullptr when saturation is disabled.
-  Saturator *saturatorFor(const AtpQuery &Q);
-
-  /// Canonical cache key of \p Q: the saturation-extracted goal when the
-  /// stage is enabled (equivalence-preserving, so keys from saturating
-  /// and non-saturating runs may soundly share a store), the raw goal
-  /// otherwise.
-  std::string queryKey(const AtpQuery &Q);
 
   TermArena &Arena;
   AtpOptions Options;
@@ -325,17 +253,6 @@ private:
   /// lifetime spans the Atp — for the prover, one rule including retry
   /// attempts — so strengthening re-checks reuse everything.
   std::unique_ptr<SmtSession> Incremental;
-  /// Persistent saturator twin of Incremental (see saturatorFor).
-  std::unique_ptr<Saturator> SharedSaturator;
-
-  /// Per-query scratch, reset at every query() entry.
-  std::unique_ptr<Saturator> FreshSaturator; ///< One-shot kinds only.
-  FormulaPtr CanonicalGoal;  ///< Saturation-extracted goal (one-shot kinds).
-  bool SaturatorReady = false;
-  trace::Span *Causal = nullptr; ///< Current query's journal span.
-
-  /// The pre-solve pipeline, in execution order (cache, saturation).
-  std::vector<std::unique_ptr<PreSolveStage>> Stages;
 };
 
 } // namespace pec

@@ -67,9 +67,10 @@ class AtpStore;
 /// a canonicalizer change silently colliding old keys with new queries
 /// would be an unsoundness, so stale stores are discarded, not merged.
 /// Bump this whenever KeyBuilder's output can change for any formula.
-/// Version 2: keys render the saturation-extracted canonical goal (PR 10),
-/// and the kind tag is derived from AtpQuery::Kind.
-constexpr uint32_t AtpKeySchemaVersion = 2;
+/// Version 3: keys render the goal as the query states it (version 2
+/// rendered a rewritten canonical form), and the kind tag is derived from
+/// AtpQuery::Kind.
+constexpr uint32_t AtpKeySchemaVersion = 3;
 
 /// Snapshot of the cache counters, summed over all shards.
 struct AtpCacheStats {
@@ -106,7 +107,6 @@ public:
     uint64_t Restarts = 0;
     uint64_t LearnedClauses = 0;
     uint64_t DeletedClauses = 0;
-    uint64_t SatClosed = 0; ///< 1 when equality saturation closed the miss.
   };
 
   enum class Lookup {

@@ -20,8 +20,8 @@ namespace {
 
 // File header: 8-byte magic + file-format version + key-schema version.
 constexpr char Magic[8] = {'P', 'E', 'C', 'A', 'T', 'P', 'C', '\n'};
-/// Version 2: WorkDelta grew an 11th field (SatClosed).
-constexpr uint32_t FileFormatVersion = 2;
+/// Version 3: a record's WorkDelta has 10 fields (version 2 had 11).
+constexpr uint32_t FileFormatVersion = 3;
 constexpr size_t HeaderSize = sizeof(Magic) + 4 + 4;
 
 std::string renderHeader() {
@@ -47,7 +47,7 @@ bool headerOk(const std::string &Buffer) {
 std::string encodeEntry(const std::string &Key, bool Result,
                         const AtpCache::WorkDelta &D) {
   std::string P;
-  P.reserve(1 + 11 * 8 + Key.size());
+  P.reserve(1 + 10 * 8 + Key.size());
   P.push_back(Result ? 1 : 0);
   framing::appendU64(P, D.TheoryChecks);
   framing::appendU64(P, D.TheoryConflicts);
@@ -59,13 +59,12 @@ std::string encodeEntry(const std::string &Key, bool Result,
   framing::appendU64(P, D.Restarts);
   framing::appendU64(P, D.LearnedClauses);
   framing::appendU64(P, D.DeletedClauses);
-  framing::appendU64(P, D.SatClosed);
   P.append(Key);
   return P;
 }
 
 bool decodeEntry(std::string_view Payload, AtpStoreEntry &Out) {
-  constexpr size_t Fixed = 1 + 11 * 8;
+  constexpr size_t Fixed = 1 + 10 * 8;
   if (Payload.size() < Fixed)
     return false;
   Out.Result = Payload[0] != 0;
@@ -74,7 +73,7 @@ bool decodeEntry(std::string_view Payload, AtpStoreEntry &Out) {
   for (uint64_t *Field :
        {&D.TheoryChecks, &D.TheoryConflicts, &D.TheoryPropagations,
         &D.TheoryPops, &D.SatConflicts, &D.SatDecisions, &D.Propagations,
-        &D.Restarts, &D.LearnedClauses, &D.DeletedClauses, &D.SatClosed})
+        &D.Restarts, &D.LearnedClauses, &D.DeletedClauses})
     framing::readU64(Payload, At, *Field);
   Out.Key.assign(Payload.substr(Fixed));
   return !Out.Key.empty();

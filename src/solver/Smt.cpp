@@ -43,7 +43,9 @@ void SmtSession::processTermQueue(std::vector<TermId> &Work) {
   while (!Work.empty()) {
     TermId T = Work.back();
     Work.pop_back();
-    const TermNode &N = Arena.node(T);
+    // A copy, not a reference: the mk* calls below can grow the arena's
+    // node vector and move the node.
+    const TermNode N = Arena.node(T);
     for (TermId A : N.Args)
       if (ScannedTerms.insert(A).second)
         Work.push_back(A);

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <sstream>
+#include <utility>
 
 using namespace pec;
 
@@ -84,6 +85,10 @@ TermId TermArena::mkMul(TermId L, TermId R) {
     if (RN.IntVal == 1)
       return L;
   }
+  // A nonlinear product is opaque to the LIA core; ordering its operands
+  // makes x * y and y * x one term, so commutativity holds by interning.
+  if (LN.Op != TermOp::IntConst && RN.Op != TermOp::IntConst && R < L)
+    std::swap(L, R);
   return intern(TermNode{TermOp::Mul, Sort::Int, 0, Symbol(), {L, R}});
 }
 

@@ -31,8 +31,6 @@ const char *metrics::counterName(Counter C) {
     return "slow_queries";
   case Counter::FlightDumpsSuppressed:
     return "flight_dumps_suppressed";
-  case Counter::AtpSatClosed:
-    return "atp_sat_closed";
   }
   return "unknown";
 }

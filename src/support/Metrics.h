@@ -65,9 +65,8 @@ enum class Counter : unsigned {
   AtpCacheDiskHits, ///< Subset of hits served by persisted-store entries.
   SlowQueries,      ///< Queries past the --slow-query-ms threshold.
   FlightDumpsSuppressed, ///< Slow-query dumps dropped by the per-process cap.
-  AtpSatClosed,     ///< Queries closed by the equality-saturation stage.
 };
-constexpr size_t NumCounters = 7;
+constexpr size_t NumCounters = 6;
 
 /// Instantaneous values, additive across shards (a thread adds on entry
 /// and subtracts on exit, so the shard sum is the current level).

@@ -97,7 +97,7 @@ int usage() {
                " [--strengthening-query-slack N]\n"
                "                  [--p50-tolerance F] [--p50-slack-us N]"
                " [--p99-tolerance F] [--p99-slack-us N]\n"
-               "                  [--min-hit-rate R] [--min-sat-closed N]\n"
+               "                  [--min-hit-rate R]\n"
                "  pec report timeline <journal.jsonl> [--json]\n"
                "  pec apply <rules-file> <program-file> [--fixpoint] "
                "[--assume-positive] [--staged]\n"
@@ -110,7 +110,7 @@ int usage() {
                "           [--max-sites N] [--fuel N] [--allow-div] "
                "[--jobs N]\n"
                "           [--assume-proved] [--no-minimize] "
-               "[--query-budget-ms B] [--no-saturate]\n"
+               "[--query-budget-ms B]\n"
                "           [--corpus-dir DIR] [--append-scenarios]\n"
                "           [--mutate-rules N] [--summary-json FILE]\n"
                "  pec fuzz --replay-corpus DIR [--query-budget-ms B]\n"
@@ -120,8 +120,6 @@ int usage() {
                "  --journal FILE  append a pec-journal-v1 causal run journal\n"
                "                  (analyze with `pec report timeline`)\n"
                "  --report json   emit the pec-report-v6 JSON on stdout\n"
-               "  --no-saturate   disable the equality-saturation pre-solve\n"
-               "                  stage (A/B ablation; identical verdicts)\n"
                "  --stats         print the per-rule statistics table\n"
                "  --metrics-out FILE  write Prometheus-format metrics to "
                "FILE\n"
@@ -174,10 +172,6 @@ struct OutputOptions {
   std::string CacheDir;
   /// Per-query ATP wall-clock budget in ms (0 = unlimited).
   uint64_t QueryBudgetMs = 0;
-  /// Equality-saturation pre-solve stage (on by default; --no-saturate is
-  /// the ablation/differential-testing switch — verdicts are identical
-  /// either way).
-  bool Saturate = true;
 
   /// Human-readable proof lines go to stderr in report mode so stdout
   /// stays pure JSON for downstream parsers.
@@ -282,8 +276,6 @@ bool parseOutputOptions(std::vector<std::string> &Args, OutputOptions &Out) {
       }
       ++I;
       Out.QueryBudgetMs = static_cast<uint64_t>(N);
-    } else if (Args[I] == "--no-saturate") {
-      Out.Saturate = false;
     } else if (Args[I] == "--cache-stats") {
       Out.CacheStats = true;
     } else if (Args[I] == "--cache-dir") {
@@ -422,7 +414,6 @@ std::vector<RuleReport> runProofs(const std::vector<Rule> &Rules,
   PecOptions Options = BaseOptions;
   Options.Cache = Cache.get();
   Options.Atp.QueryBudgetMs = Opts.QueryBudgetMs;
-  Options.Atp.Saturate = Opts.Saturate;
 
   // Root of the causal journal: every rule span records this as its
   // parent (ThreadPool::submit carries the context to the workers).
@@ -530,7 +521,6 @@ int cmdExplain(const std::string &Path, const std::string &RuleName,
   PecOptions Options;
   Options.UserFacts = File->Facts;
   Options.Diagnose = true;
-  Options.Atp.Saturate = Opts.Saturate;
 
   FILE *Out = Opts.humanStream();
   std::vector<RuleReport> Reports;
@@ -717,7 +707,6 @@ int cmdTv(const std::string &OrigPath, const std::string &TransPath,
   }
   PecOptions Options;
   Options.Atp.QueryBudgetMs = Opts.QueryBudgetMs;
-  Options.Atp.Saturate = Opts.Saturate;
   PecResult R = proveEquivalence(*Orig, *Trans, Options);
   int Exit;
   if (R.Proved) {
@@ -852,8 +841,6 @@ int cmdFuzz(std::vector<std::string> Args) {
       Diff.AssumeProved = true;
     } else if (A == "--no-minimize") {
       Diff.MinimizeFindings = false;
-    } else if (A == "--no-saturate") {
-      Diff.Saturate = false;
     } else if (A == "--append-scenarios") {
       AppendScenarios = true;
     } else if (A == "--corpus-dir") {
@@ -1178,7 +1165,6 @@ int main(int argc, char **argv) {
         {"--strengthening-query-slack", &DiffOpts.StrengtheningQuerySlack},
         {"--p50-slack-us", &DiffOpts.P50SlackMicros},
         {"--p99-slack-us", &DiffOpts.P99SlackMicros},
-        {"--min-sat-closed", &DiffOpts.MinSatClosed},
     };
     for (size_t I = 4; I < Args.size(); ++I) {
       bool Matched = false;

@@ -6,8 +6,8 @@
 // additionally have their failure_reason slugs, failure_detail strings
 // and per-rule diagnosis objects checked, v3+ documents their
 // parallelism/cache sections, v4+ documents their metrics section
-// (per-purpose latency histograms with percentile summaries), and v6
-// documents their run-level equality-saturation section. Backs the
+// (per-purpose latency histograms with percentile summaries), and v5+
+// documents their persistent-store cache fields. Backs the
 // `check_bench_schema` CTest so the
 // machine-readable report format — including the committed
 // BENCH_figure11.json — cannot silently drift.

@@ -4,7 +4,8 @@
 // `--jobs 8` runs over figure11.rules and unsound.rules produce
 // byte-identical reports modulo timing fields, `--jobs 4` proves exactly
 // the rule set `--jobs 1` proves with the same per-rule work counts, and
-// the shared ATP cache actually hits.
+// the shared ATP cache actually hits. The `--jobs 1` work counts are also
+// pinned to the committed reference tests/golden/rule_counts.golden.
 // Everything goes through the CLI so the whole pipeline — scheduler,
 // cache, stats replay, report rendering — is under test, not a unit.
 //
@@ -14,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <regex>
+#include <sstream>
 #include <string>
 
 using namespace pec;
@@ -53,8 +57,7 @@ std::string proveJson(const std::string &RulesFile, int Jobs) {
 /// wall clock has no business being reproducible), plus the whole v4
 /// `metrics` section — its histograms hold raw latency samples, and some
 /// counts (single-flight cache waits, pool task splits) depend on
-/// scheduling. The v6 saturation section's `rebuild_us` is a timing too;
-/// its `sat_closed` and `egraph_nodes` siblings stay checked.
+/// scheduling.
 std::string normalizeTimings(const std::string &Doc) {
   static const std::regex TimingField(
       "\"([a-z_]*(seconds|microseconds|_us))\":[0-9.eE+-]+");
@@ -91,7 +94,8 @@ std::map<std::string, bool> provedSet(const std::string &Doc) {
 }
 
 /// Per rule, the work counts that must not depend on --jobs: ATP queries
-/// (in total and per purpose), strengthenings and path pairs.
+/// (in total and per purpose), strengthenings, relation size, and path
+/// pairs enumerated and pruned.
 std::map<std::string, std::map<std::string, double>>
 ruleCounts(const std::string &Doc) {
   std::map<std::string, std::map<std::string, double>> Out;
@@ -108,8 +112,9 @@ ruleCounts(const std::string &Doc) {
     for (const auto &[Purpose, Slice] : Atp->get("by_purpose")->object())
       Counts["atp.by_purpose." + Purpose + ".queries"] =
           Slice->get("queries")->numberValue();
-    Counts["strengthenings"] = Rule->get("strengthenings")->numberValue();
-    Counts["path_pairs"] = Rule->get("path_pairs")->numberValue();
+    for (const char *Key :
+         {"strengthenings", "relation_size", "path_pairs", "pruned_path_pairs"})
+      Counts[Key] = Rule->get(Key)->numberValue();
   }
   return Out;
 }
@@ -164,6 +169,33 @@ TEST(ParallelDeterminism, CacheHitsAreNonzeroAndSchedulingIndependent) {
   EXPECT_EQ(R2->get("cache")->get("hits")->numberValue(), Hits);
   EXPECT_EQ(R2->get("cache")->get("misses")->numberValue(),
             Cache->get("misses")->numberValue());
+}
+
+/// The count reference: one `<file> <rule> <count> <value>` line per
+/// ruleCounts() entry of a `--jobs 1` run over each file.
+std::string countReference() {
+  std::string Out;
+  for (const char *File : {"figure11.rules", "unsound.rules"})
+    for (const auto &[Rule, Counts] : ruleCounts(proveJson(File, 1)))
+      for (const auto &[Key, Value] : Counts)
+        Out += std::string(File) + ' ' + Rule + ' ' + Key + ' ' +
+               std::to_string(static_cast<uint64_t>(Value)) + '\n';
+  return Out;
+}
+
+TEST(RuleCounts, MatchCommittedReference) {
+  // Exact work counts are the regression signal a wall clock cannot give
+  // on a ~0.1 s suite. A change that moves one regenerates the reference
+  // and explains the move in CHANGES.md.
+  const std::string Path = std::string(PEC_GOLDEN_DIR) + "/rule_counts.golden";
+  std::ifstream In(Path);
+  std::stringstream Committed;
+  Committed << In.rdbuf();
+  std::string Fresh = countReference();
+  EXPECT_EQ(Committed.str(), Fresh)
+      << "per-rule counts differ from " << Path
+      << ". Fresh reference, ready to paste in:\n"
+      << Fresh;
 }
 
 } // namespace

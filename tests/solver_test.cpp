@@ -409,6 +409,15 @@ TEST_F(AtpTest, CongruenceValid) {
   FormulaPtr F = Formula::mkImplies(Formula::mkEq(A, S1, S2),
                                     Formula::mkEq(A, T1, T2));
   EXPECT_TRUE(Prover.query(AtpQuery::validity(F)).Verdict);
+  // The same through a chain of 16 steps, the shape unrolled paths take.
+  for (int I = 1; I < 16; ++I) {
+    T1 = A.mkApply(Step, {T1}, Sort::State);
+    T2 = A.mkApply(Step, {T2}, Sort::State);
+  }
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkImplies(
+                               Formula::mkEq(A, S1, S2),
+                               Formula::mkEq(A, T1, T2))))
+                  .Verdict);
 }
 
 TEST_F(AtpTest, ArithmeticValidity) {
@@ -418,6 +427,26 @@ TEST_F(AtpTest, ArithmeticValidity) {
       Formula::mkAnd(Formula::mkLe(A, X, Y), Formula::mkLe(A, Y, X)),
       Formula::mkEq(A, X, Y));
   EXPECT_TRUE(Prover.query(AtpQuery::validity(F)).Verdict);
+  // x = y => x + 1 = y + 1, and x * 0 = 0.
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkImplies(
+                               Formula::mkEq(A, X, Y),
+                               Formula::mkEq(A, A.mkAdd(X, A.mkInt(1)),
+                                             A.mkAdd(Y, A.mkInt(1))))))
+                  .Verdict);
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkEq(
+                               A, A.mkMul(X, A.mkInt(0)), A.mkInt(0))))
+                  .Verdict);
+  // Contradictory hypotheses prove anything: x = 1 && x = 2 => y <= z.
+  FormulaPtr XIs1And2 = Formula::mkAnd(Formula::mkEq(A, X, A.mkInt(1)),
+                                       Formula::mkEq(A, X, A.mkInt(2)));
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkImplies(
+                               XIs1And2, Formula::mkLe(A, Y, intConst("z")))))
+                  .Verdict);
+  // Not valid: x <= y and x < x.
+  EXPECT_FALSE(
+      Prover.query(AtpQuery::validity(Formula::mkLe(A, X, Y))).Verdict);
+  EXPECT_FALSE(
+      Prover.query(AtpQuery::validity(Formula::mkLt(A, X, X))).Verdict);
 }
 
 TEST_F(AtpTest, PaperPathPruning) {
@@ -427,6 +456,39 @@ TEST_F(AtpTest, PaperPathPruning) {
       Formula::mkEq(A, I, A.mkSub(E, A.mkInt(1))),
       Formula::mkLt(A, A.mkAdd(I, A.mkInt(1)), E));
   EXPECT_FALSE(Prover.query(AtpQuery::satisfiability(F)).Verdict);
+
+  // The same question in other shapes: x = 1 && x = 2 and x < x are
+  // unsatisfiable; x <= y, x = y => x + 1 = y + 1 and x * 0 = 0 are not.
+  TermId X = intConst("x"), Y = intConst("y");
+  FormulaPtr XIs1 = Formula::mkEq(A, X, A.mkInt(1));
+  FormulaPtr XIs2 = Formula::mkEq(A, X, A.mkInt(2));
+  FormulaPtr XLeY = Formula::mkLe(A, X, Y);
+  EXPECT_FALSE(
+      Prover.query(AtpQuery::satisfiability(Formula::mkAnd(XIs1, XIs2)))
+          .Verdict);
+  EXPECT_FALSE(
+      Prover.query(AtpQuery::satisfiability(Formula::mkLt(A, X, X))).Verdict);
+  EXPECT_TRUE(Prover.query(AtpQuery::satisfiability(XLeY)).Verdict);
+  EXPECT_TRUE(Prover.query(AtpQuery::satisfiability(Formula::mkImplies(
+                               Formula::mkEq(A, X, Y),
+                               Formula::mkEq(A, A.mkAdd(X, A.mkInt(1)),
+                                             A.mkAdd(Y, A.mkInt(1))))))
+                  .Verdict);
+  EXPECT_TRUE(Prover.query(AtpQuery::satisfiability(Formula::mkEq(
+                               A, A.mkMul(X, A.mkInt(0)), A.mkInt(0))))
+                  .Verdict);
+
+  // And as assumption queries, with the unsat core naming the prelude
+  // (index 0) and the assumptions that clash with it.
+  AtpResult R =
+      Prover.query(AtpQuery::assumptions(XIs1, {XLeY, XIs2}, true));
+  EXPECT_FALSE(R.Verdict);
+  EXPECT_EQ(R.Core, (std::vector<size_t>{0, 2}));
+  R = Prover.query(
+      AtpQuery::assumptions(Formula::mkAnd(XIs1, XIs2), {XLeY}, true));
+  EXPECT_FALSE(R.Verdict);
+  EXPECT_EQ(R.Core, (std::vector<size_t>{0}));
+  EXPECT_TRUE(Prover.query(AtpQuery::assumptions(XIs1, {XLeY})).Verdict);
 }
 
 TEST_F(AtpTest, MixedEufLia) {
@@ -477,6 +539,17 @@ TEST_F(AtpTest, StateTheoryEndToEnd) {
       Formula::mkEq(A, A.mkSelS(S2, Ni), A.mkAdd(OldI, A.mkInt(1)));
   EXPECT_TRUE(Prover.query(AtpQuery::validity(F)).Verdict);
   EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkLt(A, OldI, A.mkSelS(S2, Ni)))).Verdict);
+  // Reading back a stored symbolic value, and reading another name
+  // through the store.
+  TermId V = intConst("v");
+  TermId Nx = A.mkNameLit(Symbol::get("x"));
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkEq(
+                               A, A.mkSelS(A.mkStoS(S, Ni, V), Ni), V)))
+                  .Verdict);
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkEq(
+                               A, A.mkSelS(A.mkStoS(S, Ni, V), Nx),
+                               A.mkSelS(S, Nx))))
+                  .Verdict);
 }
 
 TEST_F(AtpTest, CommuteAxiomGroundInstance) {
@@ -498,10 +571,10 @@ TEST_F(AtpTest, CommuteAxiomGroundInstance) {
 }
 
 TEST_F(AtpTest, NonLinearTermsAreConservative) {
-  // Nonlinear products are opaque to the LIA core. The equality
-  // saturation stage's AC hashcons does close plain commutativity
-  // (x * y = y * x), but anything deeper — distributivity here — must
-  // answer "not valid" rather than guessing.
+  // Nonlinear products are opaque to the LIA core. TermArena::mkMul
+  // orders the operands of a product, so plain commutativity
+  // (x * y = y * x) holds by hash-consing, but anything deeper —
+  // distributivity here — must answer "not valid" rather than guessing.
   TermId X = intConst("x"), Y = intConst("y"), Z = intConst("z");
   FormulaPtr Commute = Formula::mkEq(A, A.mkMul(X, Y), A.mkMul(Y, X));
   EXPECT_TRUE(Prover.query(AtpQuery::validity(Commute)).Verdict);
