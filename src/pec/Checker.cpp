@@ -108,14 +108,7 @@ private:
         Result.FailureReason =
             "path enumeration exceeded bounds (a loop is not cut by any "
             "correlation entry)";
-        if (Options.Diagnose) {
-          auto D = std::make_shared<FailureDiagnosis>();
-          D->Kind = Result.Kind;
-          D->L1 = Entry.L1;
-          D->L2 = Entry.L2;
-          D->EntryPredicate = clipText(Entry.Pred->str(Low.arena()));
-          Result.Diagnosis = std::move(D);
-        }
+        failAt(Result, Entry);
         return false;
       }
 
@@ -126,25 +119,16 @@ private:
         PurposeScope Tag(Purpose::PathPruning);
         AtpResult Reach = Prover.query(
             AtpQuery::satisfiability(Entry.Pred, Options.Diagnose));
-        AtpModel Witness = std::move(Reach.Model);
-        bool Reachable = Reach.Verdict;
-        if (Reachable) {
+        if (Reach.Verdict) {
           std::ostringstream OS;
           OS << "at correlated locations (" << Entry.L1 << ", " << Entry.L2
              << ") one program has terminated while the other can still "
                 "step";
           Result.Kind = FailureKind::TerminationMismatch;
           Result.FailureReason = OS.str();
-          if (Options.Diagnose) {
-            auto D = std::make_shared<FailureDiagnosis>();
-            D->Kind = Result.Kind;
-            D->L1 = Entry.L1;
-            D->L2 = Entry.L2;
-            D->EntryPredicate = clipText(Entry.Pred->str(Low.arena()));
-            D->MoverSide = Paths1.empty() ? 2 : 1;
-            D->Model = std::move(Witness);
-            Result.Diagnosis = std::move(D);
-          }
+          failAt(Result, Entry);
+          Result.Failure.MoverSide = Paths1.empty() ? 2 : 1;
+          Result.Failure.Witness = std::move(Reach.Model);
           return false;
         }
         AllExecs1.emplace_back();
@@ -311,57 +295,25 @@ private:
                            std::move(Disjuncts)};
   }
 
-  /// Captures a structured diagnosis of the failing constraint \p C whose
-  /// checked implication \p Check came back invalid: counterexample model
-  /// (fresh ATP query with model extraction), assumed facts, the recorded
-  /// strengthening trail, and the greedily minimized obligation. The extra
-  /// queries are tagged Purpose::Minimize so reports account them.
-  void diagnoseConstraint(CheckerResult &Result, const Constraint &C,
-                          const FormulaPtr &Check, FailureKind Kind) {
+  /// Records \p Entry as the failing correlation entry.
+  static void failAt(CheckerResult &Result, const RelEntry &Entry) {
+    Result.Failure.L1 = Entry.L1;
+    Result.Failure.L2 = Entry.L2;
+    Result.Failure.EntryPred = Entry.Pred;
+  }
+
+  /// Records the failing constraint \p C, whose check \p Check came back
+  /// invalid, for proveRule's diagnosis.
+  void failOn(CheckerResult &Result, const Constraint &C,
+              const FormulaPtr &Check, FailureKind Kind) {
     Result.Kind = Kind;
-    if (!Options.Diagnose)
-      return;
-    telemetry::Span Span("checker.diagnose", "checker");
-    auto D = std::make_shared<FailureDiagnosis>();
-    D->Kind = Kind;
-    const RelEntry &E = R.entry(C.Source);
-    D->L1 = E.L1;
-    D->L2 = E.L2;
-    D->MoverSide = C.MoverSide;
-    D->EntryPredicate = clipText(E.Pred->str(Low.arena()));
-    D->Obligation = clipText(Check->str(Low.arena()));
-    D->StrengtheningTrail = Trail;
-
-    // Side-condition fact instances assumed by the failing constraint.
-    std::vector<FormulaPtr> Facts;
-    flattenConjuncts(C.Move.Facts, Facts);
+    failAt(Result, R.entry(C.Source));
+    CheckerFailure &F = Result.Failure;
+    F.MoverSide = C.MoverSide;
+    F.Check = Check;
+    F.Facts.push_back(C.Move.Facts);
     for (const Constraint::Response &Resp : C.Responses)
-      flattenConjuncts(Resp.Facts, Facts);
-    for (const FormulaPtr &F : Facts) {
-      std::string S = clipText(F->str(Low.arena()), 400);
-      if (std::find(D->AssumedFacts.begin(), D->AssumedFacts.end(), S) ==
-          D->AssumedFacts.end())
-        D->AssumedFacts.push_back(S);
-      if (D->AssumedFacts.size() >= 16)
-        break;
-    }
-
-    // Concrete two-state counterexample: re-run the failed query with
-    // model extraction (empty when the invalidity was a budget answer).
-    {
-      PurposeScope Tag(Purpose::Minimize);
-      D->Model = Prover.query(AtpQuery::validity(Check, /*WantModel=*/true))
-                     .Model;
-    }
-
-    MinimizeResult M =
-        minimizeObligation(Prover, Check, Options.MaxMinimizerQueries);
-    D->ObligationConjuncts = M.OriginalConjuncts;
-    D->MinimizedConjuncts = M.KeptConjuncts;
-    D->MinimizerQueries = M.Queries;
-    D->MinimizedObligation = clipText(M.Minimized->str(Low.arena()));
-    Span.arg("minimizer_queries", static_cast<uint64_t>(M.Queries));
-    Result.Diagnosis = std::move(D);
+      F.Facts.push_back(Resp.Facts);
   }
 
   void solveConstraints(CheckerResult &Result) {
@@ -465,7 +417,7 @@ private:
       // Strengthen the source predicate (paper Fig. 9 line 33), unless the
       // source is the entry pair (line 32).
       if (C.Source == 0) {
-        diagnoseConstraint(Result, C, Check, FailureKind::ObligationInvalid);
+        failOn(Result, C, Check, FailureKind::ObligationInvalid);
         Result.FailureReason =
             "cannot strengthen the entry predicate: the programs disagree "
             "on some input";
@@ -487,8 +439,7 @@ private:
         return;
       }
       if (++Result.Strengthenings > Options.MaxStrengthenings) {
-        diagnoseConstraint(Result, C, Check,
-                           FailureKind::StrengtheningDiverged);
+        failOn(Result, C, Check, FailureKind::StrengtheningDiverged);
         Result.FailureReason = "strengthening did not converge";
         if (telemetry::enabled())
           telemetry::instant("checker.proofFailed", "checker",
@@ -497,16 +448,10 @@ private:
                                  Check->str(Low.arena()));
         return;
       }
-      if (Options.Diagnose && Trail.size() < Options.MaxTrailEntries) {
-        std::ostringstream OS;
-        OS << "iteration " << Result.Strengthenings << ": entry ("
-           << R.entry(C.Source).L1 << "," << R.entry(C.Source).L2
-           << ") side " << C.MoverSide
-           << " strengthened with " << clipText(Obligation->str(Low.arena()), 300);
-        Trail.push_back(OS.str());
-        if (Trail.size() == Options.MaxTrailEntries)
-          Trail.push_back("... (further iterations not recorded)");
-      }
+      if (Options.Diagnose && Result.Trail.size() < Options.MaxTrailEntries)
+        Result.Trail.push_back(StrengtheningStep{
+            Result.Strengthenings, R.entry(C.Source).L1,
+            R.entry(C.Source).L2, C.MoverSide, Obligation});
       R.entry(C.Source).Pred =
           Formula::mkAnd(R.entry(C.Source).Pred, Obligation);
       telemetry::counterAdd("checker/strengthenings");
@@ -564,8 +509,6 @@ private:
   CheckerOptions Options;
   ConditionFlow Flow1, Flow2;
   std::vector<Constraint> Constraints;
-  /// Strengthening-trail lines accumulated for a potential diagnosis.
-  std::vector<std::string> Trail;
 };
 
 } // namespace

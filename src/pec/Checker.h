@@ -33,7 +33,6 @@
 #include "pec/Relation.h"
 #include "solver/Atp.h"
 
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -53,24 +52,54 @@ struct CheckerOptions {
   /// a previous attempt showed a seeded pair to be wrong — removing a pair
   /// only weakens the relation, which is always sound).
   std::set<std::pair<Location, Location>> BannedPairs;
-  /// Capture a structured FailureDiagnosis (counterexample model, minimized
-  /// obligation, strengthening trail) on failure. Costs extra ATP queries
-  /// (tagged Purpose::Minimize), so off by default for library callers; the
-  /// pipeline driver turns it on.
+  /// Keep what a diagnosis needs beyond CheckerResult::Failure: the
+  /// strengthening trail, and the witness model of a termination
+  /// mismatch (asked of the reachability query the check runs anyway).
+  /// Costs no extra ATP query; the diagnosis itself is built by the
+  /// pipeline driver (proveRule), which turns this on.
   bool Diagnose = false;
-  /// Query budget of the greedy obligation minimizer.
-  uint32_t MaxMinimizerQueries = 48;
-  /// How many strengthening-trail lines a diagnosis records.
+  /// How many strengthening steps the trail keeps.
   size_t MaxTrailEntries = 16;
+};
+
+/// One strengthening step (paper Fig. 9 line 33), for a diagnosis's trail.
+struct StrengtheningStep {
+  uint32_t Iteration = 0;
+  Location L1 = InvalidLocation;
+  Location L2 = InvalidLocation;
+  int MoverSide = 0;
+  FormulaPtr Obligation; ///< Conjoined into the entry's predicate.
+};
+
+/// What a failed check reports, unrendered and without any ATP query of
+/// its own; proveRule turns the reported attempt's into a
+/// FailureDiagnosis.
+struct CheckerFailure {
+  /// The failing correlation entry (l1, l2, phi).
+  Location L1 = InvalidLocation;
+  Location L2 = InvalidLocation;
+  FormulaPtr EntryPred;
+  /// Which program moved: 1 = original, 2 = transformed, 0 = not known.
+  int MoverSide = 0;
+  /// The invalid check `phi => obligation`; null unless the failure was
+  /// an invalid check (ObligationInvalid, StrengtheningDiverged).
+  FormulaPtr Check;
+  /// The fact instances the failing constraint assumed: the move's, then
+  /// each response's.
+  std::vector<FormulaPtr> Facts;
+  /// Termination mismatch: a model of the reachable entry predicate.
+  AtpModel Witness;
 };
 
 struct CheckerResult {
   bool Proved = false;
   FailureKind Kind = FailureKind::None;
   std::string FailureReason;
-  /// Structured failure explanation; non-null only when
-  /// CheckerOptions::Diagnose was set and the proof failed.
-  std::shared_ptr<FailureDiagnosis> Diagnosis;
+  /// Filled when the check failed.
+  CheckerFailure Failure;
+  /// The first CheckerOptions::MaxTrailEntries strengthening steps, when
+  /// CheckerOptions::Diagnose is set.
+  std::vector<StrengtheningStep> Trail;
   uint32_t Strengthenings = 0;
   size_t PathPairs = 0;
   size_t PrunedPathPairs = 0;

@@ -13,7 +13,9 @@
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <chrono>
+#include <sstream>
 
 using namespace pec;
 
@@ -23,6 +25,71 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
       .count();
+}
+
+/// Query budget of the greedy obligation minimizer.
+constexpr uint32_t MaxMinimizerQueries = 48;
+
+/// Builds the diagnosis of the failed check \p Check, the attempt
+/// proveRule reports. An invalid check also gets a counterexample model
+/// and a minimized obligation, both from \p Prover, tagged
+/// Purpose::Minimize so reports account them.
+std::shared_ptr<FailureDiagnosis> diagnoseCheck(const CheckerResult &Check,
+                                                size_t MaxTrailEntries,
+                                                Atp &Prover,
+                                                const TermArena &Arena) {
+  telemetry::Span Span("pec.diagnose", "pec");
+  const CheckerFailure &F = Check.Failure;
+  auto D = std::make_shared<FailureDiagnosis>();
+  D->Kind = Check.Kind;
+  D->L1 = F.L1;
+  D->L2 = F.L2;
+  if (F.EntryPred)
+    D->EntryPredicate = clipText(F.EntryPred->str(Arena));
+  D->MoverSide = F.MoverSide;
+  D->Model = F.Witness;
+  if (!F.Check)
+    return D;
+
+  D->Obligation = clipText(F.Check->str(Arena));
+  for (const StrengtheningStep &Step : Check.Trail) {
+    std::ostringstream OS;
+    OS << "iteration " << Step.Iteration << ": entry (" << Step.L1 << ","
+       << Step.L2 << ") side " << Step.MoverSide << " strengthened with "
+       << clipText(Step.Obligation->str(Arena), 300);
+    D->StrengtheningTrail.push_back(OS.str());
+  }
+  if (!Check.Trail.empty() && Check.Trail.size() >= MaxTrailEntries)
+    D->StrengtheningTrail.push_back("... (further iterations not recorded)");
+
+  // Side-condition fact instances assumed by the failing constraint.
+  std::vector<FormulaPtr> Facts;
+  for (const FormulaPtr &Conj : F.Facts)
+    flattenConjuncts(Conj, Facts);
+  for (const FormulaPtr &Fact : Facts) {
+    std::string S = clipText(Fact->str(Arena), 400);
+    if (std::find(D->AssumedFacts.begin(), D->AssumedFacts.end(), S) ==
+        D->AssumedFacts.end())
+      D->AssumedFacts.push_back(S);
+    if (D->AssumedFacts.size() >= 16)
+      break;
+  }
+
+  // Concrete two-state counterexample: re-run the failed query with
+  // model extraction (empty when the invalidity was a budget answer).
+  {
+    telemetry::PurposeScope Tag(telemetry::Purpose::Minimize);
+    D->Model =
+        Prover.query(AtpQuery::validity(F.Check, /*WantModel=*/true)).Model;
+  }
+
+  MinimizeResult M = minimizeObligation(Prover, F.Check, MaxMinimizerQueries);
+  D->ObligationConjuncts = M.OriginalConjuncts;
+  D->MinimizedConjuncts = M.KeptConjuncts;
+  D->MinimizerQueries = M.Queries;
+  D->MinimizedObligation = clipText(M.Minimized->str(Arena));
+  Span.arg("minimizer_queries", static_cast<uint64_t>(M.Queries));
+  return D;
 }
 
 } // namespace
@@ -182,6 +249,11 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
     if (!NewBans)
       break;
   }
+  // Only the reported attempt is diagnosed: a retry supersedes the
+  // failures before it. Its queries count to the check phase.
+  if (!Check.Proved && Options.Diagnose)
+    Result.Diagnosis =
+        diagnoseCheck(Check, CheckOpts.MaxTrailEntries, Prover, Arena);
   Result.CheckSeconds = secondsSince(CheckStart);
   Result.Proved = Check.Proved;
   Result.Kind = Check.Kind;
@@ -189,12 +261,9 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
   Result.Strengthenings = Check.Strengthenings;
   Result.PathPairs = Check.PathPairs;
   Result.PrunedPathPairs = Check.PrunedPathPairs;
-  if (!Check.Proved) {
-    Result.Diagnosis = Check.Diagnosis;
-    if (Result.Diagnosis)
-      Result.Diagnosis->Dot = renderProofDot(P1, P2, Rel, Arena, R.Name,
-                                             Result.Diagnosis.get());
-  }
+  if (Result.Diagnosis)
+    Result.Diagnosis->Dot =
+        renderProofDot(P1, P2, Rel, Arena, R.Name, Result.Diagnosis.get());
   Finish();
   return Result;
 }

@@ -45,9 +45,11 @@ struct PecOptions {
   /// User-declared fact meanings (paper Fig. 4), additional to the
   /// built-in catalog.
   std::vector<FactDecl> UserFacts;
-  /// Capture a FailureDiagnosis (counterexample model, minimized
-  /// obligation, CFG/correlation DOT) when a proof fails. Overrides
-  /// Checker.Diagnose.
+  /// Build a FailureDiagnosis (counterexample model, minimized
+  /// obligation, CFG/correlation DOT) when a proof fails: once, after the
+  /// ban-and-retry loop, for the attempt reported. Its model query and
+  /// minimizer queries are tagged Purpose::Minimize; a proved rule does
+  /// no diagnosis work. Overrides Checker.Diagnose.
   bool Diagnose = true;
   /// Shared ATP memoization cache (AtpCache.h). Safe to share across
   /// concurrently proved rules; must outlive the proofs.

@@ -111,26 +111,43 @@ bool containsIndexVar(const ExprPtr &E, const std::set<Symbol> &IndexVars) {
   return false;
 }
 
-/// Evaluates a purely numeric expression, if it is one.
+/// Evaluates a purely numeric expression, if it is one and every value on
+/// the way fits in int64 (no wrapped constant may stand for it).
 std::optional<int64_t> numericValue(const ExprPtr &E) {
   switch (E->kind()) {
   case ExprKind::IntLit:
     return E->intValue();
-  case ExprKind::Unary:
-    if (E->unOp() == UnOp::Neg)
-      if (auto V = numericValue(E->lhs()))
-        return -*V;
-    return std::nullopt;
+  case ExprKind::Unary: {
+    if (E->unOp() != UnOp::Neg)
+      return std::nullopt;
+    auto V = numericValue(E->lhs());
+    int64_t Out = 0;
+    if (!V || __builtin_sub_overflow(int64_t(0), *V, &Out))
+      return std::nullopt;
+    return Out;
+  }
   case ExprKind::Binary: {
     auto L = numericValue(E->lhs()), R = numericValue(E->rhs());
     if (!L || !R)
       return std::nullopt;
+    int64_t Out = 0;
+    bool Overflow = false;
     switch (E->binOp()) {
-    case BinOp::Add: return *L + *R;
-    case BinOp::Sub: return *L - *R;
-    case BinOp::Mul: return *L * *R;
-    default: return std::nullopt;
+    case BinOp::Add:
+      Overflow = __builtin_add_overflow(*L, *R, &Out);
+      break;
+    case BinOp::Sub:
+      Overflow = __builtin_sub_overflow(*L, *R, &Out);
+      break;
+    case BinOp::Mul:
+      Overflow = __builtin_mul_overflow(*L, *R, &Out);
+      break;
+    default:
+      return std::nullopt;
     }
+    if (Overflow)
+      return std::nullopt;
+    return Out;
   }
   default:
     return std::nullopt;
@@ -429,8 +446,12 @@ private:
     std::set<Symbol> Idx2 = N2.indexVars();
 
     // F: transformed iteration j |-> original instance, read off the
-    // transformed hole arguments.
+    // transformed hole arguments. The conditions below are proved about F
+    // and the bound forms, not about the rule text, so a coefficient that
+    // overflowed (Rational.h) must stop the proof: the flag is cleared
+    // here and checked before the first query.
     telemetry::Span InferSpan("permute.inferMapping", "permute");
+    Rational::clearOverflow();
     std::vector<AffineForm> F;
     for (const ExprPtr &H : N2.Body->holeArgs()) {
       auto Form = extractAffine(H, Idx2, Low, S0);
@@ -530,6 +551,11 @@ private:
     FormulaPtr InD2 = inDomain(N2.Levels, Idx2, JMap);
     if (!InD1 || !InD2) {
       Out.Note = "loop bounds are not affine";
+      return;
+    }
+    // Later bound forms repeat the extractions of InD1 and InD2.
+    if (Rational::overflowed()) {
+      Out.Note = "index arithmetic overflows 64 bits";
       return;
     }
 

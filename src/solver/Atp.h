@@ -69,7 +69,10 @@ struct AtpStats {
   uint64_t CacheHits = 0;       ///< Queries answered from the AtpCache.
   uint64_t CacheMisses = 0;     ///< Queries this Atp solved and published.
   uint64_t CacheBypasses = 0;   ///< Model-wanting queries re-solved locally.
-  uint64_t BudgetExhausted = 0; ///< Queries abandoned at the wall-clock budget.
+  /// Queries answered "satisfiable" after a resource limit cut the search
+  /// short: the wall-clock budget ran out, or a theory check's LIA
+  /// arithmetic overflowed int64 and the check answered "consistent".
+  uint64_t BudgetExhausted = 0;
   /// Never written, so always zero. Kept only because
   /// perfbench/prove_loop.cpp still reads them.
   uint64_t SatClosed = 0;

@@ -96,8 +96,10 @@ bool LiaSolver::simplexCheck(Tableau &T) {
   }
 
   // Main loop with Bland's rule (smallest index first) for termination.
+  // After an overflow the arithmetic is no longer exact, so Bland's rule
+  // no longer guarantees that; stop and let the caller answer "feasible".
   const uint32_t MaxIters = 100000;
-  for (uint32_t Iter = 0; Iter < MaxIters; ++Iter) {
+  for (uint32_t Iter = 0; Iter < MaxIters && !Rational::overflowed(); ++Iter) {
     // Find the smallest basic variable violating a bound.
     int32_t ViolatedRow = -1;
     bool NeedIncrease = false;
@@ -159,71 +161,82 @@ bool LiaSolver::simplexCheck(Tableau &T) {
   return true;
 }
 
-bool LiaSolver::solveRec(Tableau T, std::vector<LinExpr> PendingNe,
-                         uint32_t &Budget, std::vector<Rational> &ModelOut) {
-  if (Budget == 0)
-    return true; // Budget exhausted: conservative "feasible".
-  --Budget;
+bool LiaSolver::solve(Tableau T, std::vector<LinExpr> PendingNe,
+                      uint32_t &Budget, std::vector<Rational> &ModelOut) {
+  // Depth-first branch and bound. A split goes on with its left branch
+  // and leaves the right one on an explicit stack, so the split depth (up
+  // to the node budget) costs heap, not call stack.
+  struct Branch {
+    Tableau T;
+    std::vector<LinExpr> PendingNe;
+  };
+  std::vector<Branch> Right;
+  while (true) {
+    if (Budget == 0)
+      return true; // Budget exhausted: conservative "feasible".
+    --Budget;
 
-  if (!simplexCheck(T))
-    return false;
-
-  // Branch and bound: force user variables to integer values.
-  for (uint32_t V = 0; V < NumUserVars; ++V) {
-    if (T.Value[V].isInteger())
+    if (!simplexCheck(T)) {
+      if (Right.empty())
+        return false;
+      T = std::move(Right.back().T);
+      PendingNe = std::move(Right.back().PendingNe);
+      Right.pop_back();
       continue;
-    int64_t Floor = T.Value[V].floor();
-    // Left branch: V <= floor.
-    {
-      Tableau Left = T;
-      Bound &B = Left.Bounds[V];
-      if (!B.Upper || Rational(Floor) < *B.Upper)
-        B.Upper = Rational(Floor);
-      if (solveRec(std::move(Left), PendingNe, Budget, ModelOut))
-        return true;
     }
-    // Right branch: V >= floor + 1.
-    Tableau Right = std::move(T);
-    Bound &B = Right.Bounds[V];
-    if (!B.Lower || Rational(Floor + 1) > *B.Lower)
-      B.Lower = Rational(Floor + 1);
-    return solveRec(std::move(Right), std::move(PendingNe), Budget, ModelOut);
-  }
+    if (Rational::overflowed())
+      return true; // The values are garbage: conservative "feasible".
 
-  // Disequality splits. Ne slack variables are the trailing ones; each
-  // pending Ne is (slack var, forbidden value) encoded as LinExpr with a
-  // single variable.
-  for (size_t I = 0; I < PendingNe.size(); ++I) {
-    const LinExpr &Ne = PendingNe[I];
-    assert(Ne.Coeffs.size() == 1);
-    uint32_t SlackVar = Ne.Coeffs.begin()->first;
-    Rational Forbidden = -Ne.Constant;
-    if (T.Value[SlackVar] != Forbidden)
+    // Branch and bound: force user variables to integer values. Left:
+    // V <= floor; right: V >= floor + 1.
+    uint32_t V = 0;
+    while (V < NumUserVars && T.Value[V].isInteger())
+      ++V;
+    if (V < NumUserVars) {
+      int64_t Floor = T.Value[V].floor();
+      Branch R{T, PendingNe};
+      Bound &RB = R.T.Bounds[V];
+      if (!RB.Lower || Rational(Floor + 1) > *RB.Lower)
+        RB.Lower = Rational(Floor + 1);
+      Right.push_back(std::move(R));
+      Bound &LB = T.Bounds[V];
+      if (!LB.Upper || Rational(Floor) < *LB.Upper)
+        LB.Upper = Rational(Floor);
       continue;
-    std::vector<LinExpr> RestNe = PendingNe;
-    RestNe.erase(RestNe.begin() + static_cast<long>(I));
-    // Left: slack <= forbidden - 1.
-    {
-      Tableau Left = T;
-      Bound &B = Left.Bounds[SlackVar];
-      Rational Limit = Forbidden - Rational(1);
-      if (!B.Upper || Limit < *B.Upper)
-        B.Upper = Limit;
-      if (solveRec(std::move(Left), RestNe, Budget, ModelOut))
-        return true;
     }
-    // Right: slack >= forbidden + 1.
-    Tableau Right = std::move(T);
-    Bound &B = Right.Bounds[SlackVar];
-    Rational Limit = Forbidden + Rational(1);
-    if (!B.Lower || Limit > *B.Lower)
-      B.Lower = Limit;
-    return solveRec(std::move(Right), std::move(RestNe), Budget, ModelOut);
-  }
 
-  // Feasible, integral, and all disequalities satisfied.
-  ModelOut.assign(T.Value.begin(), T.Value.begin() + NumUserVars);
-  return true;
+    // Disequality splits. Ne slack variables are the trailing ones; each
+    // pending Ne is (slack var, forbidden value) encoded as LinExpr with a
+    // single variable. Left: slack <= forbidden - 1; right: slack >=
+    // forbidden + 1; neither keeps the split disequality.
+    size_t I = 0;
+    for (; I < PendingNe.size(); ++I) {
+      const LinExpr &Ne = PendingNe[I];
+      assert(Ne.Coeffs.size() == 1);
+      if (T.Value[Ne.Coeffs.begin()->first] == -Ne.Constant)
+        break;
+    }
+    if (I < PendingNe.size()) {
+      uint32_t SlackVar = PendingNe[I].Coeffs.begin()->first;
+      Rational Forbidden = -PendingNe[I].Constant;
+      PendingNe.erase(PendingNe.begin() + static_cast<long>(I));
+      Branch R{T, PendingNe};
+      Bound &RB = R.T.Bounds[SlackVar];
+      Rational RightLimit = Forbidden + Rational(1);
+      if (!RB.Lower || RightLimit > *RB.Lower)
+        RB.Lower = RightLimit;
+      Right.push_back(std::move(R));
+      Bound &LB = T.Bounds[SlackVar];
+      Rational LeftLimit = Forbidden - Rational(1);
+      if (!LB.Upper || LeftLimit < *LB.Upper)
+        LB.Upper = LeftLimit;
+      continue;
+    }
+
+    // Feasible, integral, and all disequalities satisfied.
+    ModelOut.assign(T.Value.begin(), T.Value.begin() + NumUserVars);
+    return true;
+  }
 }
 
 void LiaSolver::propagateBounds(const LinExpr &E, bool IsEq, BuiltRecord &R) {
@@ -412,14 +425,23 @@ bool LiaSolver::isFeasible(uint32_t Budget) {
     extendBase();
 
   Model.clear();
+  // Once a value has overflowed (here, or in a constraint built since this
+  // solver was constructed), every answer is "feasible", without a model.
+  if (Rational::overflowed()) {
+    BaseValid = false; // The base may hold garbage: never reuse it.
+    return true;
+  }
   // Assert-time answers: violated degenerate constraints and propagated
   // bound conflicts refute the set before the tableau is even copied.
   if (BaseViolated > 0 || BaseBoundConflicts > 0)
     return false;
   // Solve on a copy: the base stays pristine for the next call.
-  Tableau T = Base;
-  std::vector<LinExpr> PendingNe = BasePendingNe;
-  return solveRec(std::move(T), std::move(PendingNe), Budget, Model);
+  bool Feasible = solve(Base, BasePendingNe, Budget, Model);
+  if (Rational::overflowed()) {
+    Model.clear();
+    return true;
+  }
+  return Feasible;
 }
 
 bool LiaSolver::hasAssertConflict() {
@@ -427,6 +449,10 @@ bool LiaSolver::hasAssertConflict() {
     rebuildBase();
   else
     extendBase();
+  if (Rational::overflowed()) {
+    BaseValid = false;
+    return false;
+  }
   return BaseViolated > 0 || BaseBoundConflicts > 0;
 }
 

@@ -16,9 +16,10 @@
 /// variables denote integers, strict bounds are tightened exactly:
 /// `t < u` becomes `t <= u - 1`.
 ///
-/// Incompleteness is one-sided: when the branch-and-bound budget runs out
-/// the solver answers "feasible", which makes the ATP answer "not valid" —
-/// the safe direction for a correctness checker.
+/// Incompleteness is one-sided: when the branch-and-bound budget runs out,
+/// or a value overflows int64 (Rational.h), the solver answers "feasible",
+/// which makes the ATP answer "not valid" — the safe direction for a
+/// correctness checker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +59,10 @@ struct LinExpr {
     return *this;
   }
   void scale(const Rational &C) {
+    if (C.isZero()) { // Keep no zero coefficient: it would be a divisor.
+      *this = LinExpr();
+      return;
+    }
     for (auto &[V, Coef] : Coeffs)
       Coef *= C;
     Constant *= C;
@@ -82,8 +87,14 @@ public:
   /// isFeasible() without copying the tableau or pivoting. Gated by
   /// AtpOptions::LiaBoundPropagation end to end; bench_atp carries the
   /// A/B.
+  ///
+  /// Construction clears the thread's rational overflow flag, so every
+  /// constraint built for this solver afterwards, on this thread, is
+  /// covered by the overflow check of its answers.
   explicit LiaSolver(bool BoundPropagation = true)
-      : BoundProp(BoundPropagation) {}
+      : BoundProp(BoundPropagation) {
+    Rational::clearOverflow();
+  }
 
   uint32_t newVar();
   size_t numVars() const { return NumUserVars; }
@@ -107,14 +118,16 @@ public:
   void rollback(const Mark &M);
 
   /// Integer feasibility of all constraints added so far. Budget counts
-  /// branch-and-bound + disequality-split nodes.
+  /// branch-and-bound + disequality-split nodes. "Feasible", without a
+  /// model, once the thread's rational overflow flag is set.
   bool isFeasible(uint32_t Budget = 4096);
 
   /// Builds pending constraints into the base and reports whether the
   /// assert-time checks alone — violated degenerate constraints and
   /// (with bound propagation) per-variable bound conflicts — already
   /// refute the constraint set. Never copies the tableau or pivots;
-  /// `false` means "not yet refuted", not "feasible". This is the cheap
+  /// `false` means "not yet refuted", not "feasible", and is the answer
+  /// whenever the rational overflow flag is set. This is the cheap
   /// partial-assignment probe behind TheorySolver's non-final checks.
   bool hasAssertConflict();
 
@@ -144,8 +157,8 @@ private:
     std::vector<Rational> Value; ///< Current assignment of every variable.
   };
 
-  bool solveRec(Tableau T, std::vector<LinExpr> PendingNe, uint32_t &Budget,
-                std::vector<Rational> &ModelOut);
+  bool solve(Tableau T, std::vector<LinExpr> PendingNe, uint32_t &Budget,
+             std::vector<Rational> &ModelOut);
   static bool simplexCheck(Tableau &T);
   static void pivot(Tableau &T, uint32_t Row, uint32_t EnterVar);
   static void updateNonbasic(Tableau &T, uint32_t Var, const Rational &V);

@@ -6,9 +6,13 @@
 ///
 /// \file
 /// Exact rationals over int64 numerator/denominator, normalized (gcd = 1,
-/// denominator > 0). Intermediate products use __int128; overflow of the
-/// normalized result aborts — PEC queries involve tiny coefficients, so an
-/// overflow indicates a bug rather than a legitimate large value.
+/// denominator > 0). Intermediate products use __int128. A normalized
+/// result that does not fit in int64 sets the calling thread's sticky
+/// overflow flag and comes back as 1 or -1 with the true sign, so a
+/// nonzero value never turns into a zero divisor. Whoever computes with
+/// rationals clears the flag first and, if it is set afterwards, discards
+/// the result: the LIA solver and its linearizer then answer
+/// conservatively ("feasible"), as on an exhausted node budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,15 +41,25 @@ public:
   bool isNegative() const { return Num < 0; }
   bool isPositive() const { return Num > 0; }
 
-  /// Floor as an integer (exact).
-  int64_t floor() const {
-    if (Num >= 0)
-      return Num / Den;
-    return -((-Num + Den - 1) / Den);
-  }
-  int64_t ceil() const { return -(-*this).floor(); }
+  /// The calling thread's sticky overflow flag (see the file comment).
+  static void clearOverflow() { overflowFlag() = false; }
+  static bool overflowed() { return overflowFlag(); }
 
-  Rational operator-() const { return fromRaw(-Num, Den); }
+  /// Floor and ceiling as integers (exact; neither can overflow).
+  int64_t floor() const {
+    int64_t Q = Num / Den;
+    return Num % Den < 0 ? Q - 1 : Q;
+  }
+  int64_t ceil() const {
+    int64_t Q = Num / Den;
+    return Num % Den > 0 ? Q + 1 : Q;
+  }
+
+  Rational operator-() const {
+    if (Num == INT64_MIN)
+      return overflow(/*Negative=*/false);
+    return fromRaw(-Num, Den);
+  }
   Rational operator+(const Rational &O) const {
     return fromChecked(static_cast<__int128>(Num) * O.Den +
                            static_cast<__int128>(O.Num) * Den,
@@ -109,8 +123,18 @@ private:
       D /= G;
     }
     if (N > INT64_MAX || N < INT64_MIN || D > INT64_MAX)
-      reportFatalError("rational overflow");
+      return overflow(/*Negative=*/N < 0);
     return fromRaw(static_cast<int64_t>(N), static_cast<int64_t>(D));
+  }
+
+  static Rational overflow(bool Negative) {
+    overflowFlag() = true;
+    return fromRaw(Negative ? -1 : 1, 1);
+  }
+
+  static bool &overflowFlag() {
+    static thread_local bool Flag = false;
+    return Flag;
   }
 
   static __int128 gcd128(__int128 A, __int128 B) {

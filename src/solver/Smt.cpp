@@ -448,7 +448,7 @@ bool SmtSession::solve(const std::vector<FormulaPtr> &Roots,
     return false;
   }
   harvestSatStats();
-  if (Sat.budgetExhausted())
+  if (Sat.budgetExhausted() || QueryTheory.overflowed())
     ++Stats.BudgetExhausted;
   // A budget-exhausted "Sat" carries no trustworthy boolean model; leave
   // ModelOut incomplete (same contract as a theory-quiet degradation).

@@ -352,16 +352,18 @@ bool TheorySolver::checkPartial() {
   std::vector<std::pair<TermId, TermId>> AllEqs = PropagatedEqs;
   Cc.forEachIntEquality([&](TermId A, TermId B) { AllEqs.emplace_back(A, B); });
 
-  LiaSolver Lia(LiaBoundProp);
+  LiaSolver Lia(LiaBoundProp); // Clears the rational overflow flag.
   Linearizer Lin(Arena, Lia, &Cc);
   bool AnyArith = false;
   loadLia(Arena, Trail, AllEqs, Lia, Lin, AnyArith);
+  // No conflict is reported once anything has overflowed.
   if (AnyArith && Lia.hasAssertConflict()) {
     // A bound conflict implies genuine infeasibility, so conflictCore's
     // full-check oracle can reproduce it when minimizing.
     Conflicted = true;
     return false;
   }
+  Overflowed |= Rational::overflowed();
   return true;
 }
 
@@ -376,7 +378,7 @@ bool TheorySolver::checkFull() {
     Cc.forEachIntEquality(
         [&](TermId A, TermId B) { AllEqs.emplace_back(A, B); });
 
-    LiaSolver Lia(LiaBoundProp);
+    LiaSolver Lia(LiaBoundProp); // Clears the rational overflow flag.
     Linearizer Lin(Arena, Lia, &Cc);
     bool AnyArith = false;
     loadLia(Arena, Trail, AllEqs, Lia, Lin, AnyArith);
@@ -394,6 +396,12 @@ bool TheorySolver::checkFull() {
       Conflicted = true;
       return false;
     }
+    if (Rational::overflowed()) {
+      // Garbage arithmetic: answer "consistent" and propagate nothing, as
+      // on an exhausted LIA budget (one-sided safe).
+      Overflowed = true;
+      return true;
+    }
 
     // --- LIA -> EUF equality propagation ----------------------------------
     bool Progress = false;
@@ -402,6 +410,8 @@ bool TheorySolver::checkFull() {
         continue; // Merged via an earlier candidate this round.
       // Does LIA entail A = B? Check both strict orders infeasible; each
       // probe pushes one row onto the shared tableau and pops it again.
+      // An overflow in a probe makes isFeasible answer "feasible", so an
+      // overflowing probe never entails anything.
       bool Entailed = true;
       for (int Dir = 0; Dir < 2 && Entailed; ++Dir) {
         LiaSolver::Mark M = Lia.mark();
@@ -521,7 +531,7 @@ bool TheorySolver::model(TermArena &Arena, const std::vector<TheoryLit> &Lits,
       Interesting.push_back(T);
   }
 
-  LiaSolver Lia;
+  LiaSolver Lia; // Clears the rational overflow flag.
   Linearizer Lin(Arena, Lia, &Cc);
   std::vector<std::pair<TermId, TermId>> Eqs;
   Cc.forEachIntEquality([&](TermId A, TermId B) { Eqs.emplace_back(A, B); });
@@ -535,18 +545,19 @@ bool TheorySolver::model(TermArena &Arena, const std::vector<TheoryLit> &Lits,
     Wanted.emplace_back(T, Lin.linearize(T));
   if (!Lia.isFeasible())
     return false;
-  if (!Lia.hasModel())
-    return true; // Budget ran out: literals only, no valuations.
+  if (!Lia.hasModel() || Rational::overflowed())
+    return true; // Budget ran out or overflowed: literals only.
 
   Out.Complete = true;
   for (const auto &[T, E] : Wanted) {
     Rational V = E.Constant;
     for (const auto &[Var, C] : E.Coeffs)
       V += C * Rational(Lia.modelValue(Var));
-    if (V.isInteger())
+    if (V.isInteger() && !Rational::overflowed())
       Out.Ints.push_back(TheoryModelEntry{T, V.num()});
     else
-      Out.Complete = false; // Non-integral residue: skip, flag partial.
+      Out.Complete = false; // Non-integral or overflowed: skip it.
+    Rational::clearOverflow();
   }
   return true;
 }

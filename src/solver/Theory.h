@@ -140,6 +140,10 @@ public:
 
   bool inConflict() const { return Conflicted; }
 
+  /// True once a check's arithmetic overflowed int64 (Rational.h) and the
+  /// check answered "consistent" without knowing.
+  bool overflowed() const { return Overflowed; }
+
   /// 1 when the current EUF state entails \p Atom, -1 when it entails its
   /// negation, 0 when undetermined. Only Eq atoms are decided online
   /// (LIA-side entailment is left to checkFull).
@@ -188,6 +192,7 @@ private:
   std::vector<Frame> Frames;
   std::vector<char> Relevant;
   bool Conflicted = false;
+  bool Overflowed = false;
   bool LiaBoundProp;
 };
 

@@ -145,6 +145,17 @@ TEST(PecRule, SwapWithoutCommuteRejected) {
   EXPECT_FALSE(Result.Proved);
 }
 
+TEST(PecRule, OverflowingCoefficientIsRejectedNotFatal) {
+  // Y's coefficient 65536^4 = 2^64 leaves int64: the solver's arithmetic
+  // degrades to "not valid", so the rule is rejected, and the process
+  // (a `pec serve` daemon, say) lives on.
+  Rule R = parseR("rule big { X := Y * 65536 * 65536 * 65536 * 65536; } "
+                  "=> { X := Y * 65536 * 65536 * 65536 * 65536 + 1; };");
+  PecResult Result = proveRule(R);
+  EXPECT_FALSE(Result.Proved);
+  EXPECT_GE(Result.Atp.BudgetExhausted, 1u);
+}
+
 TEST(PecRule, StatsArePopulated) {
   Rule R = parseR("rule swap { L1: S1; S2; } => { S2; S1; } "
                   "where Commute(S1, S2) @ L1");

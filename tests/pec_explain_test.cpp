@@ -129,6 +129,13 @@ TEST(UnsoundRules, BadCopyPropagationObligationInvalid) {
   EXPECT_GE(D.MinimizerQueries, 1u);
   EXPECT_LE(D.MinimizedConjuncts, D.ObligationConjuncts);
   EXPECT_FALSE(D.MinimizedObligation.empty());
+  // One diagnosis per reported failure: the rule's minimize-purpose
+  // queries are this diagnosis's model query and its minimizer queries,
+  // none from the attempt the ban-and-retry loop superseded.
+  EXPECT_EQ(It->second.Atp
+                .ByPurpose[static_cast<size_t>(telemetry::Purpose::Minimize)]
+                .Queries,
+            D.MinimizerQueries + 1u);
 
   const std::string Text = renderDiagnosis(D, "bad_copy_propagation");
   EXPECT_NE(Text.find("counterexample"), std::string::npos);

@@ -330,6 +330,20 @@ TEST(Permute, SkewNeedsNoCommute) {
   EXPECT_TRUE(Out.Proved) << Out.Note;
 }
 
+TEST(Permute, OverflowingIndexCoefficientGivesUp) {
+  // The transformed hole's coefficient of I, 65536^4 = 2^64, leaves int64.
+  // The five conditions are proved about the extracted mapping, not about
+  // the rule text, so Permute must give up rather than prove them for a
+  // mapping the rule does not have (or abort the process).
+  PermuteOutcome Out = runPermuteOn(
+      "rule r { for (I := E1; I <= E2; I++) { S[I]; } } => "
+      "{ for (I := E1; I <= E2; I++) "
+      "{ S[65536 * (65536 * (65536 * (65536 * I)))]; } }");
+  EXPECT_TRUE(Out.Attempted);
+  EXPECT_FALSE(Out.Proved);
+  EXPECT_EQ(Out.Note, "index arithmetic overflows 64 bits");
+}
+
 TEST(Permute, FusionBoundsMustAgree) {
   PermuteOutcome Out = runPermuteOn(
       "rule r { for (I := E1; I <= E2; I++) { S1[I]; } "

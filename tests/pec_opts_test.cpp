@@ -81,7 +81,7 @@ TEST(Figure11Negative, SpeculationWithoutOverwrite) {
 
 TEST(Figure11Negative, UnswitchingWithoutInvariance) {
   // S1 may modify E1, so the unswitched branch choice can diverge.
-  EXPECT_FALSE(prove(R"(rule bad_unswitch {
+  PecResult Result = prove(R"(rule bad_unswitch {
       while (E0) {
         if (E1) { S1; } else { S2; }
       }
@@ -91,8 +91,16 @@ TEST(Figure11Negative, UnswitchingWithoutInvariance) {
       } else {
         while (E0) { S2; }
       }
-    })")
-                   .Proved);
+    })");
+  EXPECT_FALSE(Result.Proved);
+  // The reported attempt (a retry with a seeded pair banned) fails on
+  // path enumeration, so the diagnosis needs no ATP query; the invalid
+  // check of the superseded first attempt is not diagnosed.
+  EXPECT_EQ(Result.Kind, FailureKind::NoCorrelation);
+  EXPECT_EQ(Result.Atp
+                .ByPurpose[static_cast<size_t>(telemetry::Purpose::Minimize)]
+                .Queries,
+            0u);
 }
 
 TEST(Figure11Negative, PipeliningWithoutPositiveTripCount) {

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <pthread.h>
+
 using namespace pec;
 
 namespace {
@@ -247,6 +250,43 @@ TEST(Lia, UnboundedIsFeasible) {
   uint32_t X = S.newVar(), Y = S.newVar();
   S.addLe(lin({{X, 1}, {Y, -1}}, 0)); // x <= y.
   EXPECT_TRUE(S.isFeasible());
+}
+
+/// Runs \p Body on a new thread whose stack is only \p StackBytes, so a
+/// search that keeps its depth on the call stack overflows it (SIGSEGV).
+void runOnSmallStack(const std::function<void()> &Body, size_t StackBytes) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, StackBytes), 0);
+  pthread_t Thread;
+  auto Trampoline = [](void *Arg) -> void * {
+    (*static_cast<const std::function<void()> *>(Arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&Thread, &Attr, Trampoline,
+                           const_cast<std::function<void()> *>(&Body)),
+            0);
+  pthread_join(Thread, nullptr);
+  pthread_attr_destroy(&Attr);
+}
+
+TEST(Lia, DeepBranchAndBoundKeepsItsDepthOffTheCallStack) {
+  // 2x - 2y = 1 has no integer solution, but every relaxation on the way
+  // has a rational one, so branch and bound descends, one split per node,
+  // until the node budget (4,096) runs out, and answers the conservative
+  // "feasible" without a model. The splits must not be call frames.
+  bool Feasible = false, HasModel = true;
+  runOnSmallStack(
+      [&] {
+        LiaSolver S;
+        uint32_t X = S.newVar(), Y = S.newVar();
+        S.addEq(lin({{X, 2}, {Y, -2}}, -1));
+        Feasible = S.isFeasible();
+        HasModel = S.hasModel();
+      },
+      /*StackBytes=*/256 * 1024);
+  EXPECT_TRUE(Feasible);
+  EXPECT_FALSE(HasModel);
 }
 
 //===----------------------------------------------------------------------===//
@@ -582,6 +622,37 @@ TEST_F(AtpTest, NonLinearTermsAreConservative) {
       Formula::mkEq(A, A.mkMul(X, A.mkAdd(Y, Z)),
                     A.mkAdd(A.mkMul(X, Y), A.mkMul(X, Z)));
   EXPECT_FALSE(Prover.query(AtpQuery::validity(Distrib)).Verdict);
+}
+
+TEST_F(AtpTest, OverflowingCoefficientsAreConservative) {
+  // 64 nested T*2 + i from x give x the coefficient 2^64, which leaves
+  // int64. The query must degrade one-sided-safely to "not valid",
+  // counted like an exhausted budget, instead of aborting the process.
+  TermId X = intConst("x"), Y = intConst("y");
+  TermId T = X;
+  for (int I = 0; I < 64; ++I)
+    T = A.mkAdd(A.mkMul(T, A.mkInt(2)), A.mkInt(I));
+  EXPECT_FALSE(
+      Prover.query(AtpQuery::validity(Formula::mkLe(A, T, Y))).Verdict);
+  EXPECT_EQ(Prover.stats().BudgetExhausted, 1u);
+  // The overflow does not outlive its query.
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(Formula::mkImplies(
+                               Formula::mkAnd(Formula::mkLe(A, X, Y),
+                                              Formula::mkLe(A, Y, X)),
+                               Formula::mkEq(A, X, Y))))
+                  .Verdict);
+  EXPECT_EQ(Prover.stats().BudgetExhausted, 1u);
+}
+
+TEST_F(AtpTest, ProductWithACongruentZeroIsConstant) {
+  // Once s = 0 is asserted, the linearizer folds y * s to y scaled by 0,
+  // which must leave the constant 0, not a zero coefficient of y (a zero
+  // divisor for the bound propagation of y * s = 5).
+  TermId S = intConst("s"), Y = intConst("y");
+  FormulaPtr F = Formula::mkImplies(
+      Formula::mkEq(A, S, A.mkInt(0)),
+      Formula::mkNot(Formula::mkEq(A, A.mkMul(Y, S), A.mkInt(5))));
+  EXPECT_TRUE(Prover.query(AtpQuery::validity(F)).Verdict);
 }
 
 TEST_F(AtpTest, StatsCountQueries) {
