@@ -13,8 +13,6 @@
 
 #include "solver/Atp.h"
 
-#include "BenchTelemetry.h"
-
 #include <benchmark/benchmark.h>
 
 using namespace pec;
@@ -239,4 +237,4 @@ BENCHMARK(BM_LearntBudget)->Arg(64)->Arg(2000)->Arg(8000);
 
 } // namespace
 
-PEC_BENCH_MAIN();
+BENCHMARK_MAIN();

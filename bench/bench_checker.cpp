@@ -12,8 +12,6 @@
 #include "lang/Parser.h"
 #include "pec/Pec.h"
 
-#include "BenchTelemetry.h"
-
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -145,4 +143,4 @@ BENCHMARK(BM_TranslationValidation)->Arg(1)->Arg(2)->Arg(4);
 
 } // namespace
 
-PEC_BENCH_MAIN();
+BENCHMARK_MAIN();

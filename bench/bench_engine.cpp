@@ -10,8 +10,6 @@
 #include "lang/Parser.h"
 #include "opts/Optimizations.h"
 
-#include "BenchTelemetry.h"
-
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -103,4 +101,4 @@ BENCHMARK(BM_PipelineRoundFigure1);
 
 } // namespace
 
-PEC_BENCH_MAIN();
+BENCHMARK_MAIN();

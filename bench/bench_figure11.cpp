@@ -17,17 +17,15 @@
 // the `figure11_suite/jobs` benchmark rows record the wall-clock of each
 // configuration, and the proved sets must be identical.
 //
-// Extra flags (stripped before google-benchmark sees them):
+// Extra flag (stripped before google-benchmark sees it):
 //
 //   --pec-json=FILE   write a pec-report-v6 JSON of the suite to FILE —
 //                     the schema-stable document committed as
 //                     BENCH_figure11.json (generated at --jobs 1, the
 //                     scheduling-independent configuration)
-//   --pec-trace=FILE  write a Chrome trace of the runs to FILE
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchTelemetry.h"
 #include "opts/Optimizations.h"
 #include "pec/Pec.h"
 #include "pec/Report.h"
@@ -39,6 +37,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 using namespace pec;
@@ -229,11 +228,20 @@ bool writeSuiteReport(const std::string &Path) {
 } // namespace
 
 int main(int argc, char **argv) {
-  pec::bench::TelemetryArgs PecArgs =
-      pec::bench::stripTelemetryArgs(argc, argv);
+  // google-benchmark rejects flags it does not know: strip ours first.
+  const std::string JsonPrefix = "--pec-json=";
+  std::string JsonPath;
+  int Kept = 1;
+  for (int I = 1; I < argc; ++I) {
+    if (std::string(argv[I]).rfind(JsonPrefix, 0) == 0)
+      JsonPath = argv[I] + JsonPrefix.size();
+    else
+      argv[Kept++] = argv[I];
+  }
+  argc = Kept;
   printTable();
   printParallelSummary();
-  if (!PecArgs.JsonPath.empty() && !writeSuiteReport(PecArgs.JsonPath))
+  if (!JsonPath.empty() && !writeSuiteReport(JsonPath))
     return 1;
   benchmark::RegisterBenchmark("figure11_suite/jobs", BM_ProveSuite)
       ->Arg(1)
@@ -244,5 +252,5 @@ int main(int argc, char **argv) {
                                  BM_ProveOptimization, Entry);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return pec::bench::finishTelemetry(PecArgs) ? 0 : 1;
+  return 0;
 }

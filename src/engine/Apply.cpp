@@ -8,7 +8,7 @@
 #include "logic/Lowering.h"
 #include "pec/Pec.h"
 #include "solver/Atp.h"
-#include "support/Telemetry.h"
+#include "support/Trace.h"
 
 #include <cctype>
 #include <map>
@@ -410,13 +410,11 @@ StmtPtr pec::applyRule(const StmtPtr &Program, const Rule &R,
                        const ProfitabilityFn &Pick,
                        const EngineOptions &Options, bool &Changed) {
   Changed = false;
-  telemetry::Span ApplySpan("engine.applyRule", "engine");
-  ApplySpan.arg("rule", R.Name);
+  trace::Span ApplySpan("engine.applyRule");
+  ApplySpan.attr("rule", R.Name);
   StmtPtr Normalized = normalizeStmt(Program);
   std::vector<MatchSite> Sites = findMatches(R.Before, Normalized);
-  if (telemetry::enabled())
-    telemetry::counterAdd("engine/" + R.Name + "/match_sites",
-                          Sites.size());
+  ApplySpan.attr("match_sites", static_cast<uint64_t>(Sites.size()));
 
   std::vector<MatchSite> Valid;
   for (MatchSite &Site : Sites) {
@@ -453,8 +451,7 @@ StmtPtr pec::applyRule(const StmtPtr &Program, const Rule &R,
   const MatchSite &Site = Valid[static_cast<size_t>(Choice)];
   StmtPtr Replacement = instantiateStmt(R.After, Site.B);
   Changed = true;
-  if (telemetry::enabled())
-    telemetry::counterAdd("engine/" + R.Name + "/applications");
+  ApplySpan.attr("applications", uint64_t(1));
   return rewriteAt(Normalized, Site, Replacement);
 }
 

@@ -4,6 +4,7 @@
 
 #include "lang/AstOps.h"
 #include "lang/Printer.h"
+#include "support/WrapArith.h"
 
 #include <limits>
 #include <sstream>
@@ -82,26 +83,6 @@ const char *pec::execStatusName(ExecStatus S) {
 }
 
 namespace {
-
-// Two's-complement wraparound arithmetic on uint64_t: generated programs
-// multiply and negate arbitrary 64-bit values, and the naive signed forms
-// are undefined behavior on overflow (the fuzz CI lane runs under UBSan
-// with -fno-sanitize-recover, where one overflow kills the whole run).
-int64_t wrapAdd(int64_t L, int64_t R) {
-  return static_cast<int64_t>(static_cast<uint64_t>(L) +
-                              static_cast<uint64_t>(R));
-}
-int64_t wrapSub(int64_t L, int64_t R) {
-  return static_cast<int64_t>(static_cast<uint64_t>(L) -
-                              static_cast<uint64_t>(R));
-}
-int64_t wrapMul(int64_t L, int64_t R) {
-  return static_cast<int64_t>(static_cast<uint64_t>(L) *
-                              static_cast<uint64_t>(R));
-}
-int64_t wrapNeg(int64_t V) {
-  return static_cast<int64_t>(-static_cast<uint64_t>(V));
-}
 
 /// Expression evaluator with a structured trap channel. The classic
 /// `evalExpr` entry point wraps this with the bounds model disabled.

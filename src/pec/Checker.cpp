@@ -63,18 +63,17 @@ public:
   CheckerResult run() {
     CheckerResult Result;
     {
-      telemetry::Span PathsSpan("checker.computePaths", "checker");
       trace::Span PathsTrace("compute_paths");
       if (!computePaths(Result))
         return Result;
-      PathsSpan.arg("constraints", static_cast<uint64_t>(Constraints.size()));
-      PathsSpan.arg("relation_size", static_cast<uint64_t>(R.size()));
+      PathsTrace.attr("constraints", static_cast<uint64_t>(Constraints.size()));
+      PathsTrace.attr("relation_size", static_cast<uint64_t>(R.size()));
     }
     Result.PathPairs = Constraints.size();
-    telemetry::Span SolveSpan("checker.solveConstraints", "checker");
+    trace::Span SolveSpan("checker.solveConstraints");
     solveConstraints(Result);
-    SolveSpan.arg("strengthenings",
-                  static_cast<uint64_t>(Result.Strengthenings));
+    SolveSpan.attr("strengthenings",
+                   static_cast<uint64_t>(Result.Strengthenings));
     return Result;
   }
 
@@ -191,7 +190,6 @@ private:
           }
           if (!Feasible) {
             ++Result.PrunedPathPairs;
-            telemetry::counterAdd("checker/pruned_path_pairs");
             continue;
           }
           if (debugEnabled())
@@ -213,7 +211,7 @@ private:
     }
 
     // Phase B: Definition 2 constraints for both directions.
-    telemetry::Span ConstraintsSpan("checker.generateConstraints", "checker");
+    trace::Span ConstraintsSpan("checker.generateConstraints");
     for (size_t EntryIdx = 0; EntryIdx < AllExecs1.size(); ++EntryIdx) {
       const RelEntry &Entry = R.entry(EntryIdx);
       buildConstraints(EntryIdx, Entry, AllExecs1[EntryIdx],
@@ -345,7 +343,7 @@ private:
       ObligationParts Parts;
       FormulaPtr Obligation;
       {
-        telemetry::Span PwpSpan("checker.pwp", "checker");
+        trace::Span PwpSpan("checker.pwp");
         Parts = obligationParts(C);
         Obligation = Formula::mkImplies(
             Parts.Antecedent, Formula::mkOr(std::vector<FormulaPtr>(
@@ -401,12 +399,12 @@ private:
       }
       if (Holds)
         continue;
-      if (telemetry::enabled()) {
+      if (trace::enabled()) {
         std::ostringstream OS;
         OS << "entry (" << R.entry(C.Source).L1 << ","
            << R.entry(C.Source).L2 << ") side " << C.MoverSide << ": "
            << Check->str(Low.arena());
-        telemetry::instant("checker.obligation.invalid", "checker", OS.str());
+        trace::instant("checker.obligation.invalid", "payload", OS.str());
       }
       if (debugEnabled())
         std::fprintf(stderr,
@@ -423,10 +421,10 @@ private:
             "on some input";
         // Dump the failed obligation so NOT PROVED runs are debuggable
         // from the trace rather than opaque.
-        if (telemetry::enabled())
-          telemetry::instant("checker.proofFailed", "checker",
-                             "entry predicate obligation: " +
-                                 Check->str(Low.arena()));
+        if (trace::enabled())
+          trace::instant("checker.proofFailed", "payload",
+                         "entry predicate obligation: " +
+                             Check->str(Low.arena()));
         // Report the removable targets: a seeded pair may simply be wrong
         // (the driver retries with it banned).
         for (const Constraint::Response &Resp : C.Responses) {
@@ -441,11 +439,11 @@ private:
       if (++Result.Strengthenings > Options.MaxStrengthenings) {
         failOn(Result, C, Check, FailureKind::StrengtheningDiverged);
         Result.FailureReason = "strengthening did not converge";
-        if (telemetry::enabled())
-          telemetry::instant("checker.proofFailed", "checker",
-                             "strengthening did not converge; last failed "
-                             "obligation: " +
-                                 Check->str(Low.arena()));
+        if (trace::enabled())
+          trace::instant("checker.proofFailed", "payload",
+                         "strengthening did not converge; last failed "
+                         "obligation: " +
+                             Check->str(Low.arena()));
         return;
       }
       if (Options.Diagnose && Result.Trail.size() < Options.MaxTrailEntries)
@@ -454,17 +452,10 @@ private:
             R.entry(C.Source).L2, C.MoverSide, Obligation});
       R.entry(C.Source).Pred =
           Formula::mkAnd(R.entry(C.Source).Pred, Obligation);
-      telemetry::counterAdd("checker/strengthenings");
-      trace::instant("strengthen", "entry",
-                     std::to_string(R.entry(C.Source).L1) + "," +
-                         std::to_string(R.entry(C.Source).L2));
-      if (telemetry::enabled()) {
-        std::ostringstream OS;
-        OS << "iteration " << Result.Strengthenings << ": entry ("
-           << R.entry(C.Source).L1 << "," << R.entry(C.Source).L2
-           << ") relation_size " << R.size();
-        telemetry::instant("checker.strengthen", "checker", OS.str());
-      }
+      if (trace::enabled())
+        trace::instant("strengthen", "entry",
+                       std::to_string(R.entry(C.Source).L1) + "," +
+                           std::to_string(R.entry(C.Source).L2));
       // Re-check every constraint that mentions the strengthened entry as
       // a response target — except those whose last proof's unsat core
       // shows the entry's disjunct was never used: their implication only
@@ -487,8 +478,8 @@ private:
             std::find(CoreTargets[I].begin(), CoreTargets[I].end(),
                       C.Source) == CoreTargets[I].end()) {
           ++Result.CoreSkippedRechecks;
-          telemetry::counterAdd("checker/core_skipped_rechecks");
-          trace::instant("core_skip", "obligation", std::to_string(I));
+          if (trace::enabled())
+            trace::instant("core_skip", "obligation", std::to_string(I));
           continue;
         }
         Worklist.push_back(I);

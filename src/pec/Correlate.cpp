@@ -3,7 +3,7 @@
 #include "pec/Correlate.h"
 
 #include "lang/Printer.h"
-#include "support/Telemetry.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <deque>
@@ -59,7 +59,7 @@ void transferAtom(const StmtPtr &Atom, const ProofContext &Ctx,
 ConditionFlow::ConditionFlow(const Cfg &G, const ProofContext &Ctx) {
   // The branch-context dataflow that strengthens seed predicates with
   // available conditions.
-  telemetry::Span FlowSpan("correlate.conditionFlow", "correlate");
+  trace::Span FlowSpan("correlate.conditionFlow");
   // Forward must-analysis: meet = intersection, top = "unvisited".
   std::vector<std::optional<std::map<std::string, ExprPtr>>> In(
       G.numLocations());
@@ -234,7 +234,7 @@ CorrelationRelation pec::correlate(const Cfg &P1, const Cfg &P2,
                                    TermId S1, TermId S2,
                                    const ConditionFlow &F1,
                                    const ConditionFlow &F2) {
-  telemetry::Span SeedSpan("correlate.seed", "correlate");
+  trace::Span SeedSpan("correlate.seed");
   TermArena &A = Low.arena();
   FormulaPtr StatesEqual = Formula::mkEq(A, S1, S2);
 
@@ -307,6 +307,6 @@ CorrelationRelation pec::correlate(const Cfg &P1, const Cfg &P2,
       for (size_t I = 0; I < Heads1.size(); ++I)
         R.add(Heads1[I], Heads2[I], Cond(Heads1[I], Heads2[I]));
   }
-  SeedSpan.arg("entries", static_cast<uint64_t>(R.size()));
+  SeedSpan.attr("entries", static_cast<uint64_t>(R.size()));
   return R;
 }

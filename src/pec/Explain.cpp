@@ -5,6 +5,7 @@
 #include "lang/Printer.h"
 #include "support/Escape.h"
 #include "support/Telemetry.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <sstream>
@@ -100,7 +101,7 @@ FormulaPtr rebuild(const std::vector<FormulaPtr> &Hyps,
 MinimizeResult pec::minimizeObligation(Atp &Prover, const FormulaPtr &Check,
                                        uint32_t MaxQueries) {
   telemetry::PurposeScope Tag(telemetry::Purpose::Minimize);
-  telemetry::Span Span("explain.minimize", "explain");
+  trace::Span Span("explain.minimize");
 
   std::vector<FormulaPtr> Hyps;
   FormulaPtr Concl;
@@ -127,11 +128,11 @@ MinimizeResult pec::minimizeObligation(Atp &Prover, const FormulaPtr &Check,
     ++Result.Queries;
     bool StillInvalid =
         Prover.query(AtpQuery::assumptions(NotConcl, Without)).Verdict;
-    if (telemetry::enabled()) {
+    if (trace::enabled()) {
       std::ostringstream OS;
       OS << "drop hypothesis " << I << "/" << Hyps.size() << ": "
          << (StillInvalid ? "kept dropped" : "load-bearing");
-      telemetry::instant("explain.minimize.step", "explain", OS.str());
+      trace::instant("explain.minimize.step", "payload", OS.str());
     }
     if (StillInvalid)
       Hyps = std::move(Without); // I now names the next candidate.
@@ -141,9 +142,9 @@ MinimizeResult pec::minimizeObligation(Atp &Prover, const FormulaPtr &Check,
 
   Result.KeptConjuncts = Hyps.size();
   Result.Minimized = rebuild(Hyps, Concl);
-  Span.arg("queries", static_cast<uint64_t>(Result.Queries));
-  Span.arg("kept", static_cast<uint64_t>(Result.KeptConjuncts));
-  Span.arg("original", static_cast<uint64_t>(Result.OriginalConjuncts));
+  Span.attr("queries", static_cast<uint64_t>(Result.Queries));
+  Span.attr("kept", static_cast<uint64_t>(Result.KeptConjuncts));
+  Span.attr("original", static_cast<uint64_t>(Result.OriginalConjuncts));
   return Result;
 }
 

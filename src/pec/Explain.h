@@ -98,7 +98,7 @@ struct MinimizeResult {
 /// Greedy drop-one-conjunct minimization of the invalid implication
 /// \p Check: repeatedly drop a hypothesis conjunct, keep the drop iff the
 /// ATP still reports the implication invalid. Queries are tagged with
-/// telemetry Purpose::Minimize and capped at \p MaxQueries. Hypotheses
+/// Purpose::Minimize and capped at \p MaxQueries. Hypotheses
 /// that survive are load-bearing for the (in)validity answer; when none
 /// survive, the conclusion is falsifiable outright.
 MinimizeResult minimizeObligation(Atp &Prover, const FormulaPtr &Check,

@@ -7,7 +7,6 @@
 #include "pec/Explain.h"
 #include "pec/Facts.h"
 #include "pec/Permute.h"
-#include "support/FlightRecorder.h"
 #include "support/Log.h"
 #include "support/Metrics.h"
 #include "support/Telemetry.h"
@@ -38,7 +37,7 @@ std::shared_ptr<FailureDiagnosis> diagnoseCheck(const CheckerResult &Check,
                                                 size_t MaxTrailEntries,
                                                 Atp &Prover,
                                                 const TermArena &Arena) {
-  telemetry::Span Span("pec.diagnose", "pec");
+  trace::Span Span("pec.diagnose");
   const CheckerFailure &F = Check.Failure;
   auto D = std::make_shared<FailureDiagnosis>();
   D->Kind = Check.Kind;
@@ -88,7 +87,7 @@ std::shared_ptr<FailureDiagnosis> diagnoseCheck(const CheckerResult &Check,
   D->MinimizedConjuncts = M.KeptConjuncts;
   D->MinimizerQueries = M.Queries;
   D->MinimizedObligation = clipText(M.Minimized->str(Arena));
-  Span.arg("minimizer_queries", static_cast<uint64_t>(M.Queries));
+  Span.attr("minimizer_queries", static_cast<uint64_t>(M.Queries));
   return D;
 }
 
@@ -98,14 +97,11 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
   auto Start = std::chrono::steady_clock::now();
   PecResult Result;
 
-  telemetry::Span RuleSpan("pec.proveRule");
-  RuleSpan.arg("rule", R.Name);
   // Causal root of everything this rule causes (checks, obligations, ATP
   // queries). Created before the log scope so the rule lifecycle log
   // events carry this span's ids.
   trace::Span RuleTrace("rule");
   RuleTrace.attr("rule", R.Name);
-  flight::Span FlightSpan("pec.proveRule");
   log::Scope RuleScope("rule", R.Name);
   log::debug("rule.start");
 
@@ -121,9 +117,9 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
     Result.Seconds = secondsSince(Start);
     metrics::record(metrics::Hist::RuleProveUs,
                     static_cast<uint64_t>(Result.Seconds * 1e6));
-    if (!Result.Proved && !Result.FailureReason.empty())
-      telemetry::instant("pec.notProved", "pec",
-                         R.Name + ": " + Result.FailureReason);
+    if (!Result.Proved && !Result.FailureReason.empty() && trace::enabled())
+      trace::instant("pec.notProved", "payload",
+                     R.Name + ": " + Result.FailureReason);
     if (Result.Proved)
       log::debug("rule.proved")
           .num("queries", Result.AtpQueries)
@@ -142,13 +138,12 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
   // --- Permute pre-pass (paper Sec. 6) -----------------------------------
   if (Options.UsePermute) {
     auto PermuteStart = std::chrono::steady_clock::now();
-    telemetry::Span PermuteSpan("pec.permute");
     trace::Span PermuteTrace("permute");
     PermuteOutcome P = runPermute(R, Prover);
     Result.PermuteSeconds = secondsSince(PermuteStart);
     if (P.Attempted) {
-      PermuteSpan.arg("proved", P.Proved ? "yes" : "no");
-      PermuteSpan.arg("note", P.Note);
+      PermuteTrace.attr("proved", P.Proved ? "yes" : "no");
+      PermuteTrace.attr("note", P.Note);
       if (!P.Proved) {
         Result.Kind = FailureKind::PermuteConditionFailed;
         Result.FailureReason = "permute: " + P.Note;
@@ -207,11 +202,10 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
 
   CorrelationRelation SeedRel;
   {
-    telemetry::Span CorrelateSpan("pec.correlate");
     trace::Span CorrelateTrace("correlate");
     ConditionFlow Flow1(P1, *Ctx), Flow2(P2, *Ctx);
     SeedRel = correlate(P1, P2, *Ctx, Low, S1, S2, Flow1, Flow2);
-    CorrelateSpan.arg("seed_entries", static_cast<uint64_t>(SeedRel.size()));
+    CorrelateTrace.attr("seed_entries", static_cast<uint64_t>(SeedRel.size()));
   }
   Result.CorrelateSeconds = secondsSince(CorrelateStart);
 
@@ -229,8 +223,6 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
   // to the diagnosis DOT rendering below.
   CorrelationRelation Rel;
   for (size_t Attempt = 0; Attempt <= SeedRel.size(); ++Attempt) {
-    telemetry::Span CheckSpan("pec.check");
-    CheckSpan.arg("attempt", static_cast<uint64_t>(Attempt));
     trace::Span CheckTrace("check");
     CheckTrace.attr("attempt", static_cast<uint64_t>(Attempt));
     Rel = CorrelationRelation();
@@ -240,7 +232,7 @@ PecResult pec::proveRule(const Rule &R, const PecOptions &Options) {
     Result.RelationSize = Rel.size();
 
     Check = checkRelation(Rel, P1, P2, *Ctx, Low, Prover, S1, S2, CheckOpts);
-    CheckSpan.arg("proved", Check.Proved ? "yes" : "no");
+    CheckTrace.attr("proved", Check.Proved ? "yes" : "no");
     if (Check.Proved || Check.FailedTargets.empty())
       break;
     bool NewBans = false;

@@ -6,6 +6,7 @@
 #include "pec/Facts.h"
 #include "solver/Rational.h"
 #include "support/Telemetry.h"
+#include "support/Trace.h"
 
 #include <optional>
 
@@ -336,7 +337,7 @@ public:
     // Shape (a): perfect nest on both sides.
     std::optional<LoopNest> N1, N2;
     {
-      telemetry::Span CanonSpan("permute.canonicalize", "permute");
+      trace::Span CanonSpan("permute.canonicalize");
       N1 = extractNest(Before);
       N2 = extractNest(After);
     }
@@ -450,7 +451,7 @@ private:
     // and the bound forms, not about the rule text, so a coefficient that
     // overflowed (Rational.h) must stop the proof: the flag is cleared
     // here and checked before the first query.
-    telemetry::Span InferSpan("permute.inferMapping", "permute");
+    trace::Span InferSpan("permute.inferMapping");
     Rational::clearOverflow();
     std::vector<AffineForm> F;
     for (const ExprPtr &H : N2.Body->holeArgs()) {
@@ -561,8 +562,7 @@ private:
 
     // Condition 1: j in D2 => F(j) in D1.
     {
-      telemetry::Span CondSpan("permute.condition1.FMapsD2IntoD1",
-                               "permute");
+      trace::Span CondSpan("permute.condition1.FMapsD2IntoD1");
       std::vector<TermId> FJ = ApplyF(JVals);
       std::map<Symbol, TermId> FMap;
       for (size_t K = 0; K < Depth; ++K)
@@ -576,8 +576,7 @@ private:
     }
     // Condition 2: i in D1 => F^-1(i) in D2.
     {
-      telemetry::Span CondSpan("permute.condition2.FInvMapsD1IntoD2",
-                               "permute");
+      trace::Span CondSpan("permute.condition2.FInvMapsD1IntoD2");
       std::vector<TermId> FInvI = ApplyFInv(IVals);
       std::map<Symbol, TermId> GMap;
       for (size_t K = 0; K < Depth; ++K)
@@ -591,7 +590,7 @@ private:
     }
     // Conditions 3 and 4: round trips are identities.
     {
-      telemetry::Span CondSpan("permute.condition3.roundTripJ", "permute");
+      trace::Span CondSpan("permute.condition3.roundTripJ");
       std::vector<TermId> Round = ApplyFInv(ApplyF(JVals));
       std::vector<FormulaPtr> Eqs;
       for (size_t K = 0; K < Depth; ++K)
@@ -603,7 +602,7 @@ private:
       }
     }
     {
-      telemetry::Span CondSpan("permute.condition4.roundTripI", "permute");
+      trace::Span CondSpan("permute.condition4.roundTripI");
       std::vector<TermId> Round2 = ApplyF(ApplyFInv(IVals));
       std::vector<FormulaPtr> Eqs2;
       for (size_t K = 0; K < Depth; ++K)
@@ -616,8 +615,7 @@ private:
     }
     // Condition 5: reordered pairs must commute.
     {
-      telemetry::Span CondSpan("permute.condition5.reorderedPairsCommute",
-                               "permute");
+      trace::Span CondSpan("permute.condition5.reorderedPairsCommute");
       std::vector<TermId> IVals2 = freshIndexTuple("ip$", Depth);
       std::map<Symbol, TermId> IMap2;
       for (size_t K = 0; K < Depth; ++K)

@@ -2,6 +2,7 @@
 
 #include "pec/Report.h"
 
+#include "support/Escape.h"
 #include "support/Metrics.h"
 #include "support/Telemetry.h"
 
@@ -10,7 +11,6 @@
 #include <thread>
 
 using namespace pec;
-using telemetry::jsonEscape;
 using telemetry::NumPurposes;
 using telemetry::Purpose;
 using telemetry::purposeName;
@@ -26,7 +26,7 @@ void appendKey(std::string &Out, const char *Key) {
 void appendString(std::string &Out, const char *Key, const std::string &V) {
   appendKey(Out, Key);
   Out += '"';
-  Out += jsonEscape(V);
+  Out += escapeJson(V);
   Out += '"';
 }
 
@@ -103,7 +103,7 @@ void appendStringArray(std::string &Out, const char *Key,
     if (I)
       Out += ',';
     Out += '"';
-    Out += jsonEscape(Vs[I]);
+    Out += escapeJson(Vs[I]);
     Out += '"';
   }
   Out += ']';

@@ -27,7 +27,7 @@
 /// monotonic counters. The schema is documented in
 /// docs/OBSERVABILITY.md and docs/DIAGNOSTICS.md and enforced by
 /// `validateReport` (which still accepts v1..v4 documents as legacy
-/// input; the `check_bench_schema` CTest and the telemetry unit tests
+/// input; the `check_bench_schema` CTest and the report schema unit tests
 /// both call it, so the format cannot silently drift). v5 extends the
 /// `cache` section with the persistent-store counters
 /// (docs/SERVING.md): `disk_hits` (hits served by entries the run loaded

@@ -536,3 +536,56 @@ std::string timeline::renderTimelineJson(const TimelineAnalysis &A) {
   Out += "}}\n";
   return Out;
 }
+
+//===----------------------------------------------------------------------===//
+// Chrome trace rendering
+//===----------------------------------------------------------------------===//
+
+std::string timeline::renderChromeTrace(const Journal &J) {
+  std::string Out = "{\"traceEvents\":[";
+  auto Open = [&](const char *Ph, const std::string &Name, uint64_t Ts,
+                  uint64_t Tid) {
+    Out += Out.back() == '[' ? "\n" : ",\n";
+    Out += "{\"name\":\"" + escapeJson(Name) + "\",\"ph\":\"" + Ph +
+           "\",\"ts\":" + std::to_string(Ts) +
+           ",\"pid\":1,\"tid\":" + std::to_string(Tid);
+  };
+  auto Close = [&](const std::map<std::string, std::string> &Attrs) {
+    if (!Attrs.empty()) {
+      const char *Sep = ",\"args\":{";
+      for (const auto &[Key, Value] : Attrs) {
+        Out += Sep;
+        Out += "\"" + escapeJson(Key) + "\":\"" + escapeJson(Value) + "\"";
+        Sep = ",";
+      }
+      Out += '}';
+    }
+    Out += '}';
+  };
+  for (const JournalSpan &S : J.Spans) {
+    Open("X", S.Name, S.BeginUs, S.Tid);
+    Out += ",\"dur\":" + std::to_string(S.Ended ? S.EndUs - S.BeginUs : 0);
+    Close(S.Attrs);
+    // A parent on another thread (ThreadPool::submit carried the context
+    // over) becomes a flow arrow from the parent's slice to this one.
+    auto It = J.ById.find(S.Parent);
+    if (It == J.ById.end() || J.Spans[It->second].Tid == S.Tid)
+      continue;
+    const JournalSpan &P = J.Spans[It->second];
+    uint64_t From = std::clamp(S.BeginUs, P.BeginUs,
+                               std::max(P.BeginUs, P.EndUs));
+    std::string Id = ",\"cat\":\"cause\",\"id\":" + std::to_string(S.Id);
+    Open("s", "cause", From, P.Tid);
+    Out += Id + "}";
+    // bp:e binds the arrow head to the enclosing slice (this span).
+    Open("f", "cause", S.BeginUs, S.Tid);
+    Out += Id + ",\"bp\":\"e\"}";
+  }
+  for (const JournalInstant &I : J.Instants) {
+    Open("i", I.Name, I.Ts, I.Tid);
+    Out += ",\"s\":\"t\"";
+    Close(I.Attrs);
+  }
+  Out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  return Out;
+}

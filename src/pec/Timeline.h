@@ -144,6 +144,13 @@ std::string renderTimelineText(const TimelineAnalysis &A);
 /// `pec-timeline-v1`.
 std::string renderTimelineJson(const TimelineAnalysis &A);
 
+/// Renders \p J as Chrome `trace_event` JSON (`pec prove --trace`), for
+/// chrome://tracing or https://ui.perfetto.dev: one `X` event per span
+/// with its attrs as args, one `i` event per instant, and an `s`/`f`
+/// flow pair, keyed by the child's span id, wherever a span's parent ran
+/// on another thread.
+std::string renderChromeTrace(const Journal &J);
+
 } // namespace timeline
 } // namespace pec
 

@@ -452,7 +452,9 @@ std::string handleRequest(Server &S, const std::string &Payload,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - Start)
           .count());
-  flight::noteSlowQuery("serve.request", Micros);
+  uint64_t Threshold = flight::slowQueryThresholdUs();
+  if (Threshold && Micros >= Threshold)
+    flight::noteSlowQuery("serve.request", Micros);
 
   S.maybeCheckpoint(Slot.Index);
   return Reply;

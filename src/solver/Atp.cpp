@@ -18,24 +18,23 @@ using namespace pec;
 
 namespace {
 
-/// Accounts one query: total and per-purpose counts plus wall-clock, and a
-/// trace span ("atp" category, tagged with the purpose) when tracing is on.
-/// The always-on cost is two steady_clock reads per query — noise next to
-/// lemma expansion and CDCL search.
+/// Accounts one query: total and per-purpose counts plus wall-clock, and
+/// the query's `atp.query` span, tagged with the purpose and the query
+/// kind. The always-on cost is two steady_clock reads per query plus the
+/// span's two flight-ring records — noise next to lemma expansion and
+/// CDCL search.
 class QueryAccounting {
 public:
-  QueryAccounting(const char *Name, AtpStats &Stats)
-      : Stats(Stats), Name(Name), P(telemetry::currentPurpose()),
-        TraceSpan(Name, "atp"), CausalSpan("atp.query"),
+  QueryAccounting(const char *Kind, AtpStats &Stats)
+      : Stats(Stats), P(telemetry::currentPurpose()), Span("atp.query"),
         Start(std::chrono::steady_clock::now()) {
-    TraceSpan.arg("purpose", telemetry::purposeName(P));
-    CausalSpan.attr("purpose", telemetry::purposeName(P));
-    flight::record(flight::EventKind::Begin, Name);
+    Span.attr("purpose", telemetry::purposeName(P));
+    Span.attr("kind", Kind);
   }
 
-  /// The journal span for this query, so query() can attribute the cache
-  /// outcome (hit/miss/bypass) to it.
-  trace::Span &causal() { return CausalSpan; }
+  /// The query's span, so query() can attribute the cache outcome
+  /// (hit/miss/bypass) to it.
+  trace::Span &span() { return Span; }
 
   ~QueryAccounting() {
     uint64_t Micros = static_cast<uint64_t>(
@@ -50,20 +49,18 @@ public:
     metrics::record(metrics::atpQueryHist(P), Micros);
     // Close the span before a possible slow-query dump so the dump shows
     // the offending query with both edges.
-    flight::record(flight::EventKind::End, Name, Micros);
+    Span.end();
     uint64_t Threshold = flight::slowQueryThresholdUs();
     if (Threshold && Micros >= Threshold) {
       metrics::add(metrics::Counter::SlowQueries);
-      flight::noteSlowQuery(Name, Micros);
+      flight::noteSlowQuery("atp.query", Micros);
     }
   }
 
 private:
   AtpStats &Stats;
-  const char *Name;
   telemetry::Purpose P;
-  telemetry::Span TraceSpan;
-  trace::Span CausalSpan;
+  trace::Span Span;
   std::chrono::steady_clock::time_point Start;
 };
 
@@ -214,10 +211,10 @@ void Atp::minimizeAssumptionCore(const AtpQuery &Q, AtpResult &R) {
 AtpResult Atp::query(const AtpQuery &Q) {
   const bool IsAssumptions = Q.QueryKind == AtpQuery::Kind::Assumptions;
   const bool Validity = Q.QueryKind == AtpQuery::Kind::Validity;
-  const char *Name = IsAssumptions ? "atp.assumptions"
-                     : Validity    ? "atp.validity"
-                                   : "atp.satisfiability";
-  QueryAccounting Account(Name, Stats);
+  QueryAccounting Account(IsAssumptions ? "assumptions"
+                          : Validity    ? "validity"
+                                        : "satisfiability",
+                          Stats);
   if (IsAssumptions) {
     ++Stats.AssumptionSolves;
     return solveAssumptions(Q);
@@ -239,9 +236,8 @@ AtpResult Atp::query(const AtpQuery &Q) {
   switch (TheCache->acquire(Key, NeedModelOn, Cached, D)) {
   case AtpCache::Lookup::Hit: {
     ++Stats.CacheHits;
-    telemetry::counterAdd("atp.cache.hit");
     metrics::add(metrics::Counter::AtpCacheHits);
-    Account.causal().attr("cache", "hit");
+    Account.span().attr("cache", "hit");
     replayDelta(Stats, D);
     AtpResult R;
     R.Verdict = Cached;
@@ -249,17 +245,15 @@ AtpResult Atp::query(const AtpQuery &Q) {
   }
   case AtpCache::Lookup::Bypass:
     ++Stats.CacheBypasses;
-    telemetry::counterAdd("atp.cache.bypass");
     metrics::add(metrics::Counter::AtpCacheBypasses);
-    Account.causal().attr("cache", "bypass");
+    Account.span().attr("cache", "bypass");
     return solveOneShot(Q);
   case AtpCache::Lookup::Miss:
     break;
   }
   ++Stats.CacheMisses;
-  telemetry::counterAdd("atp.cache.miss");
   metrics::add(metrics::Counter::AtpCacheMisses);
-  Account.causal().attr("cache", "miss");
+  Account.span().attr("cache", "miss");
   const AtpStats Before = Stats;
   AtpResult R = solveOneShot(Q);
   TheCache->fulfill(Key, R.Verdict, workSince(Before, Stats));

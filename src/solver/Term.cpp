@@ -2,6 +2,8 @@
 
 #include "solver/Term.h"
 
+#include "support/WrapArith.h"
+
 #include <cassert>
 #include <sstream>
 #include <utility>
@@ -48,7 +50,7 @@ TermId TermArena::mkAdd(TermId L, TermId R) {
   assert(sortOf(L) == Sort::Int && sortOf(R) == Sort::Int);
   const TermNode &LN = node(L), &RN = node(R);
   if (LN.Op == TermOp::IntConst && RN.Op == TermOp::IntConst)
-    return mkInt(LN.IntVal + RN.IntVal);
+    return mkInt(wrapAdd(LN.IntVal, RN.IntVal));
   if (LN.Op == TermOp::IntConst && LN.IntVal == 0)
     return R;
   if (RN.Op == TermOp::IntConst && RN.IntVal == 0)
@@ -60,7 +62,7 @@ TermId TermArena::mkSub(TermId L, TermId R) {
   assert(sortOf(L) == Sort::Int && sortOf(R) == Sort::Int);
   const TermNode &LN = node(L), &RN = node(R);
   if (LN.Op == TermOp::IntConst && RN.Op == TermOp::IntConst)
-    return mkInt(LN.IntVal - RN.IntVal);
+    return mkInt(wrapSub(LN.IntVal, RN.IntVal));
   if (RN.Op == TermOp::IntConst && RN.IntVal == 0)
     return L;
   if (L == R)
@@ -72,7 +74,7 @@ TermId TermArena::mkMul(TermId L, TermId R) {
   assert(sortOf(L) == Sort::Int && sortOf(R) == Sort::Int);
   const TermNode &LN = node(L), &RN = node(R);
   if (LN.Op == TermOp::IntConst && RN.Op == TermOp::IntConst)
-    return mkInt(LN.IntVal * RN.IntVal);
+    return mkInt(wrapMul(LN.IntVal, RN.IntVal));
   if (LN.Op == TermOp::IntConst) {
     if (LN.IntVal == 0)
       return mkInt(0);
@@ -96,7 +98,7 @@ TermId TermArena::mkNeg(TermId T) {
   assert(sortOf(T) == Sort::Int);
   const TermNode &N = node(T);
   if (N.Op == TermOp::IntConst)
-    return mkInt(-N.IntVal);
+    return mkInt(wrapNeg(N.IntVal));
   if (N.Op == TermOp::Neg)
     return N.Args[0];
   return intern(TermNode{TermOp::Neg, Sort::Int, 0, Symbol(), {T}});

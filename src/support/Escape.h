@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The one escaping module every serializer shares. JSON escaping is used
-/// by the telemetry trace writer, the pec-report renderer, and the
-/// diagnosis objects; DOT escaping by the `pec explain --dot` CFG export.
+/// by the journal and Chrome-trace writers, the log, the pec-report
+/// renderer, and the diagnosis objects; DOT escaping by the `pec explain
+/// --dot` CFG export.
 /// Keeping both here (instead of per-writer copies) means a hostile rule
 /// name that breaks one output format is a bug in exactly one place.
 ///

@@ -16,6 +16,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -26,7 +27,7 @@ namespace flight {
 namespace {
 
 constexpr uint32_t RingCapacity = 2048; ///< Events kept per thread.
-constexpr uint32_t MaxRings = 128;      ///< Threads that can ever record.
+constexpr uint32_t MaxRings = 128;      ///< Threads that can record at once.
 constexpr int MaxAutoDumps = 4;         ///< Slow-query dump cap per process.
 
 /// One recorded event. All fields are relaxed atomics so a signal handler
@@ -48,22 +49,47 @@ struct Ring {
   Event Events[RingCapacity];
 };
 
-/// Fixed table: no allocation after startup, and the signal handler can
-/// walk it without coordination.
+/// Fixed table: no allocation, and the signal handler can walk it without
+/// coordination. NumRings is the high-water mark the dump walks; slots of
+/// exited threads go on a free list (under SlotMutex) for the next thread.
 Ring Rings[MaxRings];
 std::atomic<uint32_t> NumRings{0};
+std::mutex SlotMutex;
+uint32_t FreeSlots[MaxRings];
+uint32_t NumFree = 0;
 
 thread_local Ring *LocalRing = nullptr;
+
+/// Returns the thread's ring slot to the free list at thread exit. Its
+/// events stay in the dump until the next thread reuses the slot.
+struct RingLease {
+  ~RingLease() {
+    if (!LocalRing)
+      return;
+    std::lock_guard<std::mutex> Lock(SlotMutex);
+    FreeSlots[NumFree++] = static_cast<uint32_t>(LocalRing - Rings);
+    LocalRing = nullptr;
+  }
+};
 
 Ring *localRing() {
   if (LocalRing)
     return LocalRing;
-  uint32_t Slot = NumRings.fetch_add(1, std::memory_order_relaxed);
-  if (Slot >= MaxRings) {
-    // Out of slots: this thread records nowhere. Overwhelmingly unlikely
-    // (the pool caps well below 128), and losing events beats allocating.
-    NumRings.store(MaxRings, std::memory_order_relaxed);
-    return nullptr;
+  static thread_local RingLease Lease; // Registers the thread-exit hook.
+  std::lock_guard<std::mutex> Lock(SlotMutex);
+  uint32_t Slot;
+  if (NumFree > 0) {
+    Slot = FreeSlots[--NumFree];
+    // A reused slot starts empty: the previous owner's events stop
+    // showing in dumps.
+    Rings[Slot].Next.store(0, std::memory_order_relaxed);
+  } else {
+    Slot = NumRings.load(std::memory_order_relaxed);
+    // Out of slots: 128 threads are recording at once, and this one
+    // records nowhere. Losing events beats allocating.
+    if (Slot >= MaxRings)
+      return nullptr;
+    NumRings.store(Slot + 1, std::memory_order_relaxed);
   }
   LocalRing = &Rings[Slot];
   return LocalRing;
@@ -125,8 +151,6 @@ bool writeEvent(int Fd, const Event &E, bool &First) {
 }
 
 void handleFatalSignal(int Sig) {
-  static const char *const Names[] = {"signal"};
-  (void)Names;
   dump("fatal-signal");
   // SA_RESETHAND restored the default disposition; re-raise so the
   // process still dies with the original signal.
@@ -142,7 +166,7 @@ uint64_t nowNs() {
           .count());
 }
 
-void record(EventKind Kind, const char *Name, uint64_t Arg) {
+void record(EventKind Kind, const char *Name, uint64_t Arg, uint64_t TimeNs) {
   Ring *R = localRing();
   if (!R)
     return;
@@ -150,19 +174,11 @@ void record(EventKind Kind, const char *Name, uint64_t Arg) {
   Event &E = R->Events[Idx % RingCapacity];
   trace::Context TC = trace::current();
   E.Name.store(Name, std::memory_order_relaxed);
-  E.TimeNs.store(nowNs(), std::memory_order_relaxed);
+  E.TimeNs.store(TimeNs, std::memory_order_relaxed);
   E.Arg.store(Arg, std::memory_order_relaxed);
   E.Kind.store(static_cast<uint32_t>(Kind), std::memory_order_relaxed);
   E.Trace.store(TC.TraceId, std::memory_order_relaxed);
   E.Span.store(TC.SpanId, std::memory_order_relaxed);
-}
-
-Span::Span(const char *Name) : Name(Name), StartNs(nowNs()) {
-  record(EventKind::Begin, Name, 0);
-}
-
-Span::~Span() {
-  record(EventKind::End, Name, (nowNs() - StartNs) / 1000);
 }
 
 void setSlowQueryThresholdUs(uint64_t Us) {
@@ -212,8 +228,6 @@ bool dump(const char *Reason) {
   Ok = Ok && Len > 0 && writeAll(Fd, Head, static_cast<size_t>(Len));
 
   uint32_t N = NumRings.load(std::memory_order_relaxed);
-  if (N > MaxRings)
-    N = MaxRings;
   for (uint32_t T = 0; T < N && Ok; ++T) {
     const Ring &R = Rings[T];
     Len = snprintf(Head, sizeof(Head),
@@ -253,8 +267,6 @@ void installSignalHandlers() {
 
 void resetForTest() {
   uint32_t N = NumRings.load(std::memory_order_relaxed);
-  if (N > MaxRings)
-    N = MaxRings;
   for (uint32_t T = 0; T < N; ++T) {
     Ring &R = Rings[T];
     R.Next.store(0, std::memory_order_relaxed);

@@ -6,25 +6,25 @@
 ///
 /// \file
 /// `pec::flight`: an always-on, fixed-size per-thread ring buffer of recent
-/// span begin/end and instant events, dumped to `pec-flight-*.json` when a
+/// span begin/end edges and instants, dumped to `pec-flight-*.json` when a
 /// fatal signal arrives or a single ATP query exceeds the `--slow-query-ms`
-/// threshold. Unlike `pec::telemetry` (opt-in, unbounded, full-run trace),
-/// the flight recorder answers only one question — *what were the last few
-/// thousand things each thread did* — and answers it even when the process
-/// is dying.
+/// threshold. Every `trace::Span` writes its two edges here whether or not
+/// a journal is open, so a dump is the tail of the run as the journal
+/// would have recorded it: it answers *what were the last few thousand
+/// things each thread did*, even when the process is dying.
 ///
 /// Constraints that shape the API:
 ///
-///   * **No allocation after startup.** Rings live in a fixed static table;
-///     a thread claims a slot on its first event. Event names must be
-///     string literals (or otherwise immortal pointers) so the dump never
-///     chases freed memory.
+///   * **No allocation.** Rings live in a fixed static table of 128; a
+///     thread claims a slot on its first event and returns it at thread
+///     exit, so only 128 threads can record *at once*. Event names must
+///     be string literals (or otherwise immortal pointers) so the dump
+///     never chases freed memory.
 ///   * **Signal-tolerant dump.** `dump()` uses open/write/snprintf only, so
 ///     the fatal-signal handler can call it. It is best-effort by nature:
 ///     a handler firing mid-record may see one torn event, never a torn
 ///     heap.
-///   * Recording is a few relaxed atomic stores — cheap enough to leave on
-///     under `bench_checker`.
+///   * Recording is a clock read and a few relaxed atomic stores.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,29 +42,18 @@ enum class EventKind : uint32_t {
   Instant = 2,
 };
 
-/// Records one event in the calling thread's ring. \p Name MUST be a
-/// string literal (the recorder stores the pointer, forever).
-void record(EventKind Kind, const char *Name, uint64_t Arg = 0);
+/// Nanoseconds since the recorder's (process-start) epoch.
+uint64_t nowNs();
+
+/// Records one event in the calling thread's ring, stamped \p TimeNs and
+/// the thread's current trace context. \p Name MUST be a string literal
+/// (the recorder stores the pointer, forever).
+void record(EventKind Kind, const char *Name, uint64_t Arg = 0,
+            uint64_t TimeNs = nowNs());
 
 inline void instant(const char *Name, uint64_t Arg = 0) {
   record(EventKind::Instant, Name, Arg);
 }
-
-/// RAII Begin/End pair. Durations are stamped on the End event.
-class Span {
-public:
-  explicit Span(const char *Name);
-  ~Span();
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-
-private:
-  const char *Name;
-  uint64_t StartNs;
-};
-
-/// Nanoseconds since the recorder's (process-start) epoch.
-uint64_t nowNs();
 
 //===----------------------------------------------------------------------===//
 // Slow-query auto-dump

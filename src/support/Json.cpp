@@ -181,8 +181,8 @@ private:
             return false;
           }
         }
-        // UTF-8 encode (surrogate pairs are not recombined; the telemetry
-        // layer never emits them).
+        // UTF-8 encode (surrogate pairs are not recombined; escapeJson
+        // never emits them).
         if (Code < 0x80) {
           Out += static_cast<char>(Code);
         } else if (Code < 0x800) {

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small recursive-descent JSON parser used by the telemetry tests and
-/// the `check-bench-schema` tool to validate the machine-readable reports
-/// the pipeline emits. Zero dependencies by design (the same constraint as
-/// the rest of `pec::telemetry`); not a general-purpose library — numbers
-/// are held as doubles and the parser favors clarity over speed.
+/// A small recursive-descent JSON parser: it reads run journals back
+/// (`pec report timeline`, `pec prove --trace`) and validates the
+/// machine-readable reports the pipeline emits (`pec_report_check`, the
+/// tests). Zero dependencies by design; not a general-purpose library —
+/// numbers are held as doubles and the parser favors clarity over speed.
 ///
 //===----------------------------------------------------------------------===//
 

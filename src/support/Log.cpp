@@ -6,7 +6,7 @@
 
 #include "support/Log.h"
 
-#include "support/Telemetry.h" // jsonEscape
+#include "support/Escape.h"
 #include "support/Trace.h"
 
 #include <atomic>
@@ -69,15 +69,15 @@ std::string timestamp() {
 }
 
 /// Keys are literals from our own call sites; values pass through
-/// jsonEscape at field-build time, so a field renders verbatim here.
+/// escapeJson at field-build time, so a field renders verbatim here.
 void emitJson(Level L, const char *Name,
               const std::vector<std::pair<std::string, std::string>> &Fields) {
   std::string Line = "{\"ts\":\"" + timestamp() + "\",\"level\":\"" +
                      levelName(L) + "\",\"event\":\"" +
-                     telemetry::jsonEscape(Name) + "\"";
+                     escapeJson(Name) + "\"";
   for (const ContextFrame &F : Context)
     Line += ",\"" + std::string(F.Key) + "\":\"" +
-            telemetry::jsonEscape(F.Value) + "\"";
+            escapeJson(F.Value) + "\"";
   // Join key against the run journal: events emitted inside a causal span
   // carry its ids (only when a --journal is being recorded).
   if (trace::Context TC = trace::current(); TC.SpanId != 0) {
@@ -174,7 +174,7 @@ Event::~Event() {
 
 Event &Event::str(const char *Key, const std::string &Value) {
   if (Live)
-    Fields.emplace_back(Key, "\"" + telemetry::jsonEscape(Value) + "\"");
+    Fields.emplace_back(Key, "\"" + escapeJson(Value) + "\"");
   return *this;
 }
 

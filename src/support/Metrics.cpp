@@ -2,10 +2,8 @@
 
 #include "support/Metrics.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -35,16 +33,6 @@ const char *metrics::counterName(Counter C) {
   return "unknown";
 }
 
-const char *metrics::gaugeName(Gauge G) {
-  switch (G) {
-  case Gauge::PoolQueueDepth:
-    return "pool_queue_depth";
-  case Gauge::PoolWorkers:
-    return "pool_workers";
-  }
-  return "unknown";
-}
-
 const char *metrics::histName(Hist H) {
   switch (H) {
   case Hist::AtpQueryUsOther:
@@ -66,25 +54,6 @@ const char *metrics::histName(Hist H) {
     return "theory_conflict_size";
   }
   return "unknown";
-}
-
-const char *metrics::histLabel(Hist H) {
-  switch (H) {
-  case Hist::AtpQueryUsOther:
-    return "purpose=\"other\"";
-  case Hist::AtpQueryUsPathPruning:
-    return "purpose=\"path-pruning\"";
-  case Hist::AtpQueryUsObligation:
-    return "purpose=\"obligation\"";
-  case Hist::AtpQueryUsPermuteCondition:
-    return "purpose=\"permute-condition\"";
-  case Hist::AtpQueryUsStrengthening:
-    return "purpose=\"strengthening\"";
-  case Hist::AtpQueryUsMinimize:
-    return "purpose=\"minimize\"";
-  default:
-    return nullptr;
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -145,9 +114,11 @@ struct Shard {
 
 struct Registry {
   std::mutex Mutex;
-  // Shards are never freed: a thread's counts must survive its exit, and
-  // the set of recording threads is bounded (pool workers + main).
+  /// Shards of live threads. A thread's shard is folded into Retired and
+  /// freed at thread exit, so memory is bounded by the threads alive at
+  /// once while their counts survive them.
   std::vector<std::unique_ptr<Shard>> Shards;
+  Shard Retired;
 };
 
 Registry &registry() {
@@ -157,22 +128,54 @@ Registry &registry() {
 
 thread_local Shard *LocalShard = nullptr;
 
+void relaxedMax(std::atomic<uint64_t> &Slot, uint64_t V) {
+  uint64_t Cur = Slot.load(std::memory_order_relaxed);
+  while (Cur < V &&
+         !Slot.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
+    ;
+}
+
+/// Adds \p From into \p To. Callers hold the registry mutex.
+void fold(const Shard &From, Shard &To) {
+  constexpr auto R = std::memory_order_relaxed;
+  for (size_t C = 0; C < NumCounters; ++C)
+    To.Counters[C].fetch_add(From.Counters[C].load(R), R);
+  for (size_t G = 0; G < NumGauges; ++G)
+    To.Gauges[G].fetch_add(From.Gauges[G].load(R), R);
+  for (size_t H = 0; H < NumHists; ++H) {
+    To.HistSum[H].fetch_add(From.HistSum[H].load(R), R);
+    relaxedMax(To.HistMax[H], From.HistMax[H].load(R));
+    for (unsigned B = 0; B < NumBuckets; ++B)
+      To.HistBuckets[H][B].fetch_add(From.HistBuckets[H][B].load(R), R);
+  }
+}
+
+/// Folds the thread's shard into the retired total at thread exit.
+struct ShardLease {
+  ~ShardLease() {
+    if (!LocalShard)
+      return;
+    Registry &R = registry();
+    std::lock_guard<std::mutex> Lock(R.Mutex);
+    fold(*LocalShard, R.Retired);
+    auto It = std::find_if(
+        R.Shards.begin(), R.Shards.end(),
+        [](const std::unique_ptr<Shard> &S) { return S.get() == LocalShard; });
+    R.Shards.erase(It);
+    LocalShard = nullptr;
+  }
+};
+
 Shard &shard() {
   if (LocalShard)
     return *LocalShard;
+  static thread_local ShardLease Lease; // Registers the thread-exit hook.
   auto S = std::make_unique<Shard>();
   LocalShard = S.get();
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   R.Shards.push_back(std::move(S));
   return *LocalShard;
-}
-
-void relaxedMax(std::atomic<uint64_t> &Slot, uint64_t V) {
-  uint64_t Cur = Slot.load(std::memory_order_relaxed);
-  while (Cur < V &&
-         !Slot.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
-    ;
 }
 
 } // namespace
@@ -235,25 +238,24 @@ uint64_t HistogramSnapshot::percentile(double P) const {
 }
 
 Snapshot metrics::snapshot() {
-  Snapshot Out;
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.Mutex);
-  for (const std::unique_ptr<Shard> &S : R.Shards) {
-    for (size_t C = 0; C < NumCounters; ++C)
-      Out.Counters[C] += S->Counters[C].load(std::memory_order_relaxed);
-    for (size_t G = 0; G < NumGauges; ++G)
-      Out.Gauges[G] += S->Gauges[G].load(std::memory_order_relaxed);
-    for (size_t H = 0; H < NumHists; ++H) {
-      HistogramSnapshot &Dst = Out.Hists[H];
-      Dst.Sum += S->HistSum[H].load(std::memory_order_relaxed);
-      uint64_t M = S->HistMax[H].load(std::memory_order_relaxed);
-      if (M > Dst.Max)
-        Dst.Max = M;
-      for (unsigned B = 0; B < NumBuckets; ++B) {
-        uint64_t N = S->HistBuckets[H][B].load(std::memory_order_relaxed);
-        Dst.Buckets[B] += N;
-        Dst.Count += N;
-      }
+  Shard Sum;
+  fold(R.Retired, Sum);
+  for (const std::unique_ptr<Shard> &S : R.Shards)
+    fold(*S, Sum);
+  Snapshot Out;
+  for (size_t C = 0; C < NumCounters; ++C)
+    Out.Counters[C] = Sum.Counters[C].load(std::memory_order_relaxed);
+  for (size_t G = 0; G < NumGauges; ++G)
+    Out.Gauges[G] = Sum.Gauges[G].load(std::memory_order_relaxed);
+  for (size_t H = 0; H < NumHists; ++H) {
+    HistogramSnapshot &Dst = Out.Hists[H];
+    Dst.Sum = Sum.HistSum[H].load(std::memory_order_relaxed);
+    Dst.Max = Sum.HistMax[H].load(std::memory_order_relaxed);
+    for (unsigned B = 0; B < NumBuckets; ++B) {
+      Dst.Buckets[B] = Sum.HistBuckets[H][B].load(std::memory_order_relaxed);
+      Dst.Count += Dst.Buckets[B];
     }
   }
   return Out;
@@ -262,7 +264,10 @@ Snapshot metrics::snapshot() {
 void metrics::resetForTest() {
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.Mutex);
-  for (const std::unique_ptr<Shard> &S : R.Shards) {
+  std::vector<Shard *> All = {&R.Retired};
+  for (const std::unique_ptr<Shard> &S : R.Shards)
+    All.push_back(S.get());
+  for (Shard *S : All) {
     for (size_t C = 0; C < NumCounters; ++C)
       S->Counters[C].store(0, std::memory_order_relaxed);
     for (size_t G = 0; G < NumGauges; ++G)
@@ -274,78 +279,4 @@ void metrics::resetForTest() {
         S->HistBuckets[H][B].store(0, std::memory_order_relaxed);
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Prometheus text exposition
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void appendLine(std::string &Out, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendLine(std::string &Out, const char *Fmt, ...) {
-  char Buf[256];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
-
-void renderHistogram(std::string &Out, const char *Family,
-                     const HistogramSnapshot &H, const char *Label) {
-  std::string Series = Label ? std::string(Label) + "," : std::string();
-  uint64_t Cumulative = 0;
-  for (unsigned B = 0; B < NumBuckets; ++B) {
-    if (H.Buckets[B] == 0)
-      continue; // Sparse: emit only buckets that moved the count.
-    Cumulative += H.Buckets[B];
-    appendLine(Out, "pec_%s_bucket{%sle=\"%" PRIu64 "\"} %" PRIu64 "\n",
-               Family, Series.c_str(),
-               B == NumBuckets - 1 ? H.Max : bucketUpperBound(B),
-               Cumulative);
-  }
-  if (Label) {
-    appendLine(Out, "pec_%s_bucket{%s,le=\"+Inf\"} %" PRIu64 "\n", Family,
-               Label, H.Count);
-    appendLine(Out, "pec_%s_sum{%s} %" PRIu64 "\n", Family, Label, H.Sum);
-    appendLine(Out, "pec_%s_count{%s} %" PRIu64 "\n", Family, Label,
-               H.Count);
-  } else {
-    appendLine(Out, "pec_%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", Family,
-               H.Count);
-    appendLine(Out, "pec_%s_sum %" PRIu64 "\n", Family, H.Sum);
-    appendLine(Out, "pec_%s_count %" PRIu64 "\n", Family, H.Count);
-  }
-}
-
-} // namespace
-
-std::string metrics::renderPrometheus(const Snapshot &S) {
-  std::string Out;
-  for (size_t C = 0; C < NumCounters; ++C) {
-    const char *Name = counterName(static_cast<Counter>(C));
-    appendLine(Out, "# TYPE pec_%s_total counter\n", Name);
-    appendLine(Out, "pec_%s_total %" PRIu64 "\n", Name, S.Counters[C]);
-  }
-  for (size_t G = 0; G < NumGauges; ++G) {
-    const char *Name = gaugeName(static_cast<Gauge>(G));
-    appendLine(Out, "# TYPE pec_%s gauge\n", Name);
-    appendLine(Out, "pec_%s %" PRId64 "\n", Name, S.Gauges[G]);
-  }
-  // One TYPE header per family; the per-purpose latency slices are series
-  // of the same family distinguished by the purpose label.
-  const char *PrevFamily = "";
-  for (size_t H = 0; H < NumHists; ++H) {
-    const char *Family = histName(static_cast<Hist>(H));
-    if (std::string(Family) != PrevFamily) {
-      appendLine(Out, "# TYPE pec_%s histogram\n", Family);
-      PrevFamily = Family;
-    }
-    renderHistogram(Out, Family, S.Hists[H],
-                    histLabel(static_cast<Hist>(H)));
-  }
-  return Out;
 }

@@ -7,12 +7,11 @@
 /// \file
 /// `pec::metrics`: a process-wide registry of counters, gauges, and
 /// log-linear latency/size histograms, cheap enough to leave **always on**
-/// (docs/OBSERVABILITY.md). This is the aggregate-statistics complement to
-/// `pec::telemetry`, which stays the opt-in *tracing* layer: telemetry
-/// answers "what did this run do, event by event", metrics answer "what do
-/// runs look like in the tail" — p50/p90/p99 query latencies, rule
-/// latencies, conflict-size distributions — the numbers a long-lived
-/// `pec serve` daemon will be scraped for.
+/// (docs/OBSERVABILITY.md). Spans (`pec::trace`) answer "what did this run
+/// do, event by event"; metrics answer "what do runs look like in the
+/// tail" — p50/p90/p99 query latencies, rule latencies, conflict-size
+/// distributions — for the report's `metrics` section and `pec serve`'s
+/// `stats` verb.
 ///
 /// Design:
 ///
@@ -22,22 +21,20 @@
 ///   * Recording is **per-thread sharded**: every thread owns a shard of
 ///     relaxed atomics, created on its first record and registered with
 ///     the process registry. The fast path is one thread-local load plus
-///     a handful of relaxed atomic adds — safe under TSan and within
-///     noise of the uninstrumented pipeline (`bench_checker` is the
-///     acceptance gate).
-///   * `snapshot()` merges all shards. Sums of relaxed adds commute, so a
-///     snapshot taken at a quiescent point is deterministic regardless of
-///     which thread recorded what.
+///     a handful of relaxed atomic adds — safe under TSan. At thread exit
+///     the shard is folded into a retired total and freed, so memory is
+///     bounded by the threads alive at once.
+///   * `snapshot()` merges the retired total and the live shards. Sums of
+///     relaxed adds commute, so a snapshot taken at a quiescent point is
+///     deterministic regardless of which thread recorded what.
 ///   * Histograms are **log-linear**: 8 linear sub-buckets per power of
 ///     two (exact below 16, relative error <= 12.5% above), 264 buckets
 ///     covering [0, 2^35). Percentiles are read from bucket upper bounds,
 ///     so a reported pNN is an upper bound on the true pNN within one
 ///     bucket's width; `Max` is exact.
 ///
-/// Serialization: `renderPrometheus` emits the text exposition format
-/// (counters as `_total`, histograms as cumulative `_bucket{le=...}` +
-/// `_sum`/`_count`), and the `pec-report-v4` `metrics` section embeds
-/// percentile summaries plus sparse bucket arrays (Report.cpp).
+/// Serialization: the `pec-report` `metrics` section embeds percentile
+/// summaries plus sparse bucket arrays (Report.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +54,7 @@ namespace metrics {
 // The closed metric set
 //===----------------------------------------------------------------------===//
 
-/// Monotonic counters (Prometheus `_total`).
+/// Monotonic counters.
 enum class Counter : unsigned {
   AtpCacheHits,     ///< Queries answered from the shared AtpCache.
   AtpCacheMisses,   ///< Queries solved locally and published.
@@ -99,15 +96,10 @@ inline Hist atpQueryHist(telemetry::Purpose P) {
   return static_cast<Hist>(static_cast<unsigned>(P));
 }
 
-/// Stable snake_case name (Prometheus family name without the pec_
-/// prefix, and the key used in the pec-report-v4 metrics section).
+/// Stable snake_case name, the key used in the report's metrics section.
+/// The per-purpose query-latency slices share "atp_query_us".
 const char *counterName(Counter C);
-const char *gaugeName(Gauge G);
 const char *histName(Hist H);
-/// Label rendered on the Prometheus series ("purpose=\"obligation\"") or
-/// nullptr for unlabeled families. Families sharing a histName differ
-/// only in this label.
-const char *histLabel(Hist H);
 
 //===----------------------------------------------------------------------===//
 // Log-linear bucket geometry
@@ -181,16 +173,6 @@ Snapshot snapshot();
 /// Zeroes every shard (counters, gauges, histograms). Test-only: racing
 /// recorders may survive into the next epoch.
 void resetForTest();
-
-//===----------------------------------------------------------------------===//
-// Prometheus text exposition
-//===----------------------------------------------------------------------===//
-
-/// Renders \p S in the Prometheus text format (the `--metrics-out FILE`
-/// payload): `# TYPE` headers, `pec_`-prefixed families, histograms as
-/// cumulative `_bucket{le="..."}` series (sparse: only buckets whose
-/// count changed, plus `+Inf`) with `_sum` and `_count`.
-std::string renderPrometheus(const Snapshot &S);
 
 } // namespace metrics
 } // namespace pec

@@ -1,116 +1,13 @@
-//===- Telemetry.cpp - Structured tracing and metrics ----------------------------===//
+//===- Telemetry.cpp - ATP query purpose tags -----------------------------===//
 
 #include "support/Telemetry.h"
-
-#include "support/Escape.h"
-
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <map>
-#include <mutex>
-#include <unordered_map>
 
 using namespace pec;
 using namespace pec::telemetry;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// One recorded event. Complete spans ("X") carry a duration; instants
-/// ("i") a payload.
-struct Event {
-  std::string Name;
-  const char *Category = "pec";
-  char Phase = 'X';
-  uint64_t StartMicros = 0;
-  uint64_t DurMicros = 0;
-  /// Binding id for flow events (phases 's'/'f'); 0 otherwise.
-  uint64_t FlowId = 0;
-  std::vector<std::pair<std::string, std::string>> Args;
-};
-
-/// Per-thread event buffer, registered globally so `writeChromeTrace` can
-/// see every thread's events after the fact. Buffers outlive their threads
-/// (they are owned by the registry, not by the thread).
-struct ThreadBuffer {
-  uint32_t Tid = 0;
-  std::vector<Event> Events;
-  /// Stack of open span slots, so Span::arg can reach its event.
-  std::vector<size_t> OpenSpans;
-};
-
-struct Registry {
-  std::mutex Mutex;
-  std::vector<ThreadBuffer *> Buffers; ///< Owned; never freed (process-lifetime).
-  std::map<std::string, uint64_t> Counters;
-  Clock::time_point Epoch = Clock::now();
-  uint32_t NextTid = 1;
-};
-
-Registry &registry() {
-  static Registry R;
-  return R;
-}
-
-std::atomic<bool> EnabledFlag{false};
-
-thread_local ThreadBuffer *LocalBuffer = nullptr;
 thread_local Purpose CurrentPurpose = Purpose::Other;
-
-ThreadBuffer &localBuffer() {
-  if (!LocalBuffer) {
-    auto *B = new ThreadBuffer;
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mutex);
-    B->Tid = R.NextTid++;
-    R.Buffers.push_back(B);
-    LocalBuffer = B;
-  }
-  return *LocalBuffer;
-}
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            registry().Epoch)
-          .count());
-}
-
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Enable flag
-//===----------------------------------------------------------------------===//
-
-bool telemetry::enabled() {
-  return EnabledFlag.load(std::memory_order_relaxed);
-}
-
-void telemetry::setEnabled(bool On) {
-  if (On) {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mutex);
-    R.Epoch = Clock::now();
-  }
-  EnabledFlag.store(On, std::memory_order_relaxed);
-}
-
-void telemetry::reset() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  for (ThreadBuffer *B : R.Buffers) {
-    B->Events.clear();
-    B->OpenSpans.clear();
-  }
-  R.Counters.clear();
-  R.Epoch = Clock::now();
-}
-
-//===----------------------------------------------------------------------===//
-// Purposes
-//===----------------------------------------------------------------------===//
 
 const char *telemetry::purposeName(Purpose P) {
   switch (P) {
@@ -137,198 +34,3 @@ PurposeScope::PurposeScope(Purpose P) : Saved(CurrentPurpose) {
 PurposeScope::~PurposeScope() { CurrentPurpose = Saved; }
 
 Purpose telemetry::currentPurpose() { return CurrentPurpose; }
-
-//===----------------------------------------------------------------------===//
-// Spans and instants
-//===----------------------------------------------------------------------===//
-
-Span::Span(const char *Name, const char *Category) {
-  if (!enabled())
-    return;
-  ThreadBuffer &B = localBuffer();
-  Slot = B.Events.size();
-  Event E;
-  E.Name = Name;
-  E.Category = Category;
-  E.StartMicros = nowMicros();
-  B.Events.push_back(std::move(E));
-  B.OpenSpans.push_back(Slot);
-}
-
-Span::Span(const std::string &Name, const char *Category)
-    : Span(Name.c_str(), Category) {}
-
-Span::~Span() { end(); }
-
-void Span::end() {
-  if (Slot == static_cast<size_t>(-1))
-    return;
-  // The buffer exists: the constructor created it.
-  ThreadBuffer &B = *LocalBuffer;
-  Event &E = B.Events[Slot];
-  E.DurMicros = nowMicros() - E.StartMicros;
-  if (!B.OpenSpans.empty() && B.OpenSpans.back() == Slot)
-    B.OpenSpans.pop_back();
-  Slot = static_cast<size_t>(-1);
-}
-
-void Span::arg(const char *Key, const std::string &Value) {
-  if (Slot == static_cast<size_t>(-1))
-    return;
-  LocalBuffer->Events[Slot].Args.emplace_back(Key, Value);
-}
-
-void Span::arg(const char *Key, uint64_t Value) {
-  arg(Key, std::to_string(Value));
-}
-
-void telemetry::instant(const char *Name, const char *Category,
-                        const std::string &Payload) {
-  if (!enabled())
-    return;
-  ThreadBuffer &B = localBuffer();
-  Event E;
-  E.Name = Name;
-  E.Category = Category;
-  E.Phase = 'i';
-  E.StartMicros = nowMicros();
-  if (!Payload.empty())
-    E.Args.emplace_back("payload", Payload);
-  B.Events.push_back(std::move(E));
-}
-
-namespace {
-
-void recordFlow(const char *Name, uint64_t Id, char Phase) {
-  if (!telemetry::enabled())
-    return;
-  ThreadBuffer &B = localBuffer();
-  Event E;
-  E.Name = Name;
-  E.Category = "flow";
-  E.Phase = Phase;
-  E.StartMicros = nowMicros();
-  E.FlowId = Id;
-  B.Events.push_back(std::move(E));
-}
-
-} // namespace
-
-void telemetry::flowBegin(const char *Name, uint64_t Id) {
-  recordFlow(Name, Id, 's');
-}
-
-void telemetry::flowEnd(const char *Name, uint64_t Id) {
-  recordFlow(Name, Id, 'f');
-}
-
-//===----------------------------------------------------------------------===//
-// Counters
-//===----------------------------------------------------------------------===//
-
-void telemetry::counterAdd(const std::string &Name, uint64_t Delta) {
-  if (!enabled())
-    return;
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  R.Counters[Name] += Delta;
-}
-
-std::vector<std::pair<std::string, uint64_t>> telemetry::counterSnapshot() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  return {R.Counters.begin(), R.Counters.end()};
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-std::string telemetry::jsonEscape(const std::string &S) {
-  return escapeJson(S); // One escaper for every serializer: support/Escape.h.
-}
-
-namespace {
-
-void appendEventJson(std::string &Out, const Event &E, uint32_t Tid) {
-  Out += "{\"name\":\"";
-  Out += jsonEscape(E.Name);
-  Out += "\",\"cat\":\"";
-  Out += jsonEscape(E.Category);
-  Out += "\",\"ph\":\"";
-  Out += E.Phase;
-  Out += "\",\"ts\":";
-  Out += std::to_string(E.StartMicros);
-  if (E.Phase == 'X') {
-    Out += ",\"dur\":";
-    Out += std::to_string(E.DurMicros);
-  }
-  if (E.Phase == 'i')
-    Out += ",\"s\":\"t\"";
-  if (E.Phase == 's' || E.Phase == 'f') {
-    Out += ",\"id\":";
-    Out += std::to_string(E.FlowId);
-    // Bind the arrow head to the enclosing slice, not the next one.
-    if (E.Phase == 'f')
-      Out += ",\"bp\":\"e\"";
-  }
-  Out += ",\"pid\":1,\"tid\":";
-  Out += std::to_string(Tid);
-  if (!E.Args.empty()) {
-    Out += ",\"args\":{";
-    for (size_t I = 0; I < E.Args.size(); ++I) {
-      if (I)
-        Out += ',';
-      Out += '"';
-      Out += jsonEscape(E.Args[I].first);
-      Out += "\":\"";
-      Out += jsonEscape(E.Args[I].second);
-      Out += '"';
-    }
-    Out += '}';
-  }
-  Out += '}';
-}
-
-} // namespace
-
-bool telemetry::writeChromeTrace(const std::string &Path) {
-  std::string Out = "{\"traceEvents\":[\n";
-  {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mutex);
-    bool First = true;
-    for (const ThreadBuffer *B : R.Buffers) {
-      for (const Event &E : B->Events) {
-        if (!First)
-          Out += ",\n";
-        First = false;
-        appendEventJson(Out, E, B->Tid);
-      }
-    }
-  }
-  Out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Out.data(), 1, Out.size(), F) == Out.size();
-  Ok &= std::fclose(F) == 0;
-  return Ok;
-}
-
-std::string telemetry::counterReportJson() {
-  std::string Out = "{\"counters\":{";
-  bool First = true;
-  for (const auto &[Name, Value] : counterSnapshot()) {
-    if (!First)
-      Out += ',';
-    First = false;
-    Out += '"';
-    Out += jsonEscape(Name);
-    Out += "\":";
-    Out += std::to_string(Value);
-  }
-  Out += "}}";
-  return Out;
-}

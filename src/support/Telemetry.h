@@ -1,67 +1,29 @@
-//===- Telemetry.h - Structured tracing and metrics -------------*- C++ -*-===//
+//===- Telemetry.h - ATP query purpose tags ---------------------*- C++ -*-===//
 //
 // Part of the PEC reproduction of Kundu, Tatlock & Lerner, PLDI 2009.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `pec::telemetry`: a zero-dependency tracing and metrics layer for the
-/// PEC pipeline (see docs/OBSERVABILITY.md for the span taxonomy and the
-/// serialized schemas).
-///
-/// Three primitives:
-///
-///   * **Spans** — RAII scopes (`Span`) recording nested wall-clock
-///     intervals into a per-thread event buffer. `writeChromeTrace`
-///     serializes all buffers as Chrome `trace_event` JSON, loadable in
-///     `chrome://tracing` or https://ui.perfetto.dev.
-///   * **Counters** — named monotonic counters (`counterAdd`), aggregated
-///     globally and dumped into the flat JSON stats report
-///     (`writeCounterReport`).
-///   * **Instants** — point events with string payloads (`instant`), used
-///     e.g. to dump failed ATP obligations into the trace.
-///
-/// All three are inert unless tracing is enabled: every entry point starts
-/// with a branch on one relaxed atomic flag (`enabled()`), so the
-/// instrumented pipeline runs within noise of the uninstrumented one when
-/// tracing is off (the default).
-///
-/// Orthogonally — and *always on*, because it is a handful of thread-local
-/// loads per prover query — `PurposeScope` tags a dynamic extent with the
-/// purpose of the ATP queries issued inside it (path pruning, proof
-/// obligation, permute condition, strengthening), which `Atp` uses to
-/// attribute query counts and time per purpose in `AtpStats`.
+/// `pec::telemetry`: the query-purpose tags. `PurposeScope` tags a dynamic
+/// extent with the purpose of the ATP queries issued inside it (path
+/// pruning, proof obligation, permute condition, strengthening, minimize),
+/// and `Atp` attributes query counts and time per purpose in `AtpStats`,
+/// the `atp_query_us` histograms and the `purpose` attr of each
+/// `atp.query` span. Always on: the cost is two thread-local accesses per
+/// scope. Spans, instants and the journal live in `pec::trace`
+/// (support/Trace.h); see docs/OBSERVABILITY.md.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PEC_SUPPORT_TELEMETRY_H
 #define PEC_SUPPORT_TELEMETRY_H
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace pec {
 namespace telemetry {
-
-//===----------------------------------------------------------------------===//
-// Enable flag
-//===----------------------------------------------------------------------===//
-
-/// True when tracing/metrics collection is on. A single relaxed atomic
-/// load; every other entry point bails out immediately when false.
-bool enabled();
-
-/// Turns collection on or off. Enabling also (re)starts the trace clock.
-void setEnabled(bool On);
-
-/// Drops all buffered events and counters (does not change the flag).
-void reset();
-
-//===----------------------------------------------------------------------===//
-// ATP query purposes
-//===----------------------------------------------------------------------===//
 
 /// Why the pipeline issued a theorem-prover query. Kept in sync with
 /// `purposeName` and the `by_purpose` report schema.
@@ -79,8 +41,6 @@ constexpr size_t NumPurposes = 6;
 const char *purposeName(Purpose P);
 
 /// RAII: tags the current thread's dynamic extent with a query purpose.
-/// Always active (not gated on `enabled()`); cost is two thread-local
-/// accesses.
 class PurposeScope {
 public:
   explicit PurposeScope(Purpose P);
@@ -94,78 +54,6 @@ private:
 
 /// The purpose currently tagged on this thread (Other by default).
 Purpose currentPurpose();
-
-//===----------------------------------------------------------------------===//
-// Spans
-//===----------------------------------------------------------------------===//
-
-/// RAII scoped span. Records a Chrome `ph:"X"` complete event covering the
-/// scope's lifetime; nesting is expressed by timestamps (the Chrome trace
-/// model). `arg` attaches string key/values shown in the trace viewer.
-class Span {
-public:
-  /// \p Name must outlive the span only until the constructor returns (it
-  /// is copied when tracing is on, ignored otherwise). \p Category groups
-  /// spans in the viewer ("pec", "atp", "permute", ...).
-  Span(const char *Name, const char *Category = "pec");
-  Span(const std::string &Name, const char *Category = "pec");
-  ~Span();
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-
-  /// Attaches a string argument (no-op when tracing is off).
-  void arg(const char *Key, const std::string &Value);
-  void arg(const char *Key, uint64_t Value);
-
-  /// Closes the span before the scope ends (the destructor then does
-  /// nothing). For intervals that do not align with a C++ scope.
-  void end();
-
-private:
-  /// Index into the thread buffer, or SIZE_MAX when tracing was off at
-  /// construction.
-  size_t Slot = static_cast<size_t>(-1);
-};
-
-/// Point event with an optional payload (rendered as an `args` entry).
-void instant(const char *Name, const char *Category,
-             const std::string &Payload = std::string());
-
-/// Chrome-trace *flow* events: a `flowBegin` (ph `"s"`) and a `flowEnd`
-/// (ph `"f"`, `bp:"e"`) with the same name and id render as an arrow
-/// between the two enclosing slices — across threads. The pool emits one
-/// pair per submitted task (id from `trace::freshId()`), so Perfetto
-/// shows which thread caused each stolen task (docs/PARALLELISM.md).
-/// \p Name must match between the two ends; both are no-ops when tracing
-/// is off.
-void flowBegin(const char *Name, uint64_t Id);
-void flowEnd(const char *Name, uint64_t Id);
-
-//===----------------------------------------------------------------------===//
-// Counters
-//===----------------------------------------------------------------------===//
-
-/// Adds \p Delta to the named counter (no-op when tracing is off).
-/// Names are slash-separated paths, e.g. "engine/copy_propagation/matches".
-void counterAdd(const std::string &Name, uint64_t Delta = 1);
-
-/// Snapshot of all counters, sorted by name.
-std::vector<std::pair<std::string, uint64_t>> counterSnapshot();
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-/// Escapes \p S for embedding in a JSON string literal (no quotes added).
-std::string jsonEscape(const std::string &S);
-
-/// Serializes every thread's event buffer as Chrome trace_event JSON
-/// (`{"traceEvents": [...]}`). Returns false on I/O failure.
-bool writeChromeTrace(const std::string &Path);
-
-/// Renders the counter table as a flat JSON object string
-/// (`{"counters": {name: value, ...}}`).
-std::string counterReportJson();
 
 } // namespace telemetry
 } // namespace pec

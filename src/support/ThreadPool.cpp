@@ -3,7 +3,6 @@
 #include "support/ThreadPool.h"
 
 #include "support/Metrics.h"
-#include "support/Telemetry.h"
 #include "support/Trace.h"
 
 #include <chrono>
@@ -52,18 +51,11 @@ void ThreadPool::submit(std::function<void()> Task) {
   // Causal propagation: capture the submitter's trace context and
   // re-install it around the task body, so spans the task opens record
   // the submitting span as parent even when a different worker steals the
-  // task. A flow-event pair keyed by a fresh id makes the same causal
-  // hop visible in the Chrome trace (Perfetto draws the arrow).
-  if (trace::enabled() || telemetry::enabled()) {
-    trace::Context Ctx = trace::current();
-    uint64_t FlowId = telemetry::enabled() ? trace::freshId() : 0;
-    if (FlowId)
-      telemetry::flowBegin("pool.task", FlowId);
-    Task = [Ctx, FlowId, T = std::move(Task)] {
+  // task. The Chrome trace draws that cross-thread parent edge as a flow
+  // arrow (timeline::renderChromeTrace).
+  if (trace::enabled()) {
+    Task = [Ctx = trace::current(), T = std::move(Task)] {
       trace::Adopt Adopted(Ctx);
-      telemetry::Span PoolSpan("pool.task", "pool");
-      if (FlowId)
-        telemetry::flowEnd("pool.task", FlowId);
       T();
     };
   }

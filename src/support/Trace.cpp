@@ -1,11 +1,11 @@
-//===- Trace.cpp - Causal trace contexts and the run journal --------------===//
+//===- Trace.cpp - Spans, causal contexts and the run journal -------------===//
 
 #include "support/Trace.h"
 
 #include "support/Escape.h"
+#include "support/FlightRecorder.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 
@@ -14,15 +14,15 @@ using namespace pec::trace;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Journal sink. One mutex serializes whole-line writes, so readers never
 /// see interleaved or torn lines; spans format their line outside the lock
 /// and hold it only for the fwrite.
 struct Journal {
   std::mutex Mutex;
   std::FILE *File = nullptr;
-  Clock::time_point Epoch;
+  /// flight::nowNs() at journalOpen: journal timestamps are microseconds
+  /// since then, read off the same clock sample as the ring edge.
+  std::atomic<uint64_t> EpochNs{0};
 };
 
 Journal &journal() {
@@ -40,8 +40,7 @@ std::atomic<uint64_t> NextId{1};
 
 thread_local Context CurrentContext;
 
-/// Journal tids are small and dense like telemetry tids, but allocated
-/// independently (the layers can be enabled separately).
+/// Journal tids are small and dense, allocated on a thread's first line.
 std::atomic<uint32_t> NextTid{1};
 thread_local uint32_t LocalTid = 0;
 
@@ -51,11 +50,8 @@ uint32_t localTid() {
   return LocalTid;
 }
 
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            journal().Epoch)
-          .count());
+uint64_t journalMicros(uint64_t Ns) {
+  return (Ns - journal().EpochNs.load(std::memory_order_relaxed)) / 1000;
 }
 
 void writeLine(const std::string &Line) {
@@ -93,7 +89,7 @@ bool trace::journalOpen(const std::string &Path) {
   J.File = std::fopen(Path.c_str(), "w");
   if (!J.File)
     return false;
-  J.Epoch = Clock::now();
+  J.EpochNs.store(flight::nowNs(), std::memory_order_relaxed);
   std::string Header = "{\"schema\":\"pec-journal-v1\",\"start_us\":0}";
   std::fwrite(Header.data(), 1, Header.size(), J.File);
   std::fputc('\n', J.File);
@@ -121,36 +117,34 @@ Adopt::Adopt(const Context &C) : Saved(CurrentContext) { CurrentContext = C; }
 
 Adopt::~Adopt() { CurrentContext = Saved; }
 
-uint64_t trace::freshId() {
-  return NextId.fetch_add(1, std::memory_order_relaxed);
-}
-
 //===----------------------------------------------------------------------===//
 // Spans and instants
 //===----------------------------------------------------------------------===//
 
-Span::Span(const char *Name) {
-  if (!enabled())
-    return;
-  Saved = CurrentContext;
-  Id = NextId.fetch_add(1, std::memory_order_relaxed);
-  uint64_t Trace = Saved.TraceId ? Saved.TraceId : Id;
-  CurrentContext = {Trace, Id};
+Span::Span(const char *Name) : Name(Name), StartNs(flight::nowNs()) {
+  if (enabled()) {
+    Saved = CurrentContext;
+    Id = NextId.fetch_add(1, std::memory_order_relaxed);
+    uint64_t Trace = Saved.TraceId ? Saved.TraceId : Id;
+    CurrentContext = {Trace, Id};
 
-  std::string Line = "{\"ev\":\"b\",\"ts\":";
-  Line += std::to_string(nowMicros());
-  Line += ",\"trace\":";
-  Line += std::to_string(Trace);
-  Line += ",\"span\":";
-  Line += std::to_string(Id);
-  Line += ",\"parent\":";
-  Line += std::to_string(Saved.SpanId);
-  Line += ",\"tid\":";
-  Line += std::to_string(localTid());
-  Line += ",\"name\":\"";
-  Line += escapeJson(Name);
-  Line += "\"}";
-  writeLine(Line);
+    std::string Line = "{\"ev\":\"b\",\"ts\":";
+    Line += std::to_string(journalMicros(StartNs));
+    Line += ",\"trace\":";
+    Line += std::to_string(Trace);
+    Line += ",\"span\":";
+    Line += std::to_string(Id);
+    Line += ",\"parent\":";
+    Line += std::to_string(Saved.SpanId);
+    Line += ",\"tid\":";
+    Line += std::to_string(localTid());
+    Line += ",\"name\":\"";
+    Line += escapeJson(Name);
+    Line += "\"}";
+    writeLine(Line);
+  }
+  // After the context switch, so the edge carries this span's own ids.
+  flight::record(flight::EventKind::Begin, Name, 0, StartNs);
 }
 
 Span::~Span() { end(); }
@@ -162,14 +156,21 @@ void Span::attr(const char *Key, const std::string &Value) {
 }
 
 void Span::attr(const char *Key, uint64_t Value) {
-  attr(Key, std::to_string(Value));
+  if (Id == 0)
+    return;
+  appendAttr(EndAttrs, Key, std::to_string(Value));
 }
 
 void Span::end() {
+  if (!Name)
+    return;
+  uint64_t Ns = flight::nowNs();
+  flight::record(flight::EventKind::End, Name, (Ns - StartNs) / 1000, Ns);
+  Name = nullptr;
   if (Id == 0)
     return;
   std::string Line = "{\"ev\":\"e\",\"ts\":";
-  Line += std::to_string(nowMicros());
+  Line += std::to_string(journalMicros(Ns));
   Line += ",\"span\":";
   Line += std::to_string(Id);
   Line += EndAttrs;
@@ -184,7 +185,7 @@ void trace::instant(const char *Name, const char *Key,
   if (!enabled())
     return;
   std::string Line = "{\"ev\":\"i\",\"ts\":";
-  Line += std::to_string(nowMicros());
+  Line += std::to_string(journalMicros(flight::nowNs()));
   Line += ",\"span\":";
   Line += std::to_string(CurrentContext.SpanId);
   Line += ",\"tid\":";

@@ -1,27 +1,32 @@
-//===- Trace.h - Causal trace contexts and the run journal ------*- C++ -*-===//
+//===- Trace.h - Spans, causal contexts and the run journal -----*- C++ -*-===//
 //
 // Part of the PEC reproduction of Kundu, Tatlock & Lerner, PLDI 2009.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `pec::trace`: the causal tracing layer (docs/OBSERVABILITY.md, "Causal
-/// tracing and the run journal"). Where `pec::telemetry` records *where
-/// time went* per thread, this layer records *why each span ran*: every
-/// span carries a TraceId (one proving run or one root rule proof), its
-/// own SpanId, and the SpanId of the span that caused it — including
-/// across `ThreadPool::submit`, which captures the submitting context and
-/// re-installs it on the executing worker. The result is the causal DAG
-/// rule → check → obligation → ATP query that `pec report timeline`
-/// reconstructs to compute the critical path and wasted-work accounting.
+/// `pec::trace`: the one span type of the pipeline (docs/OBSERVABILITY.md,
+/// "Spans"). Every `Span` writes its
+/// begin and end edges into the calling thread's flight ring
+/// (support/FlightRecorder.h), always, so a flight dump shows the last
+/// few thousand spans of each thread. When a journal is open it also
+/// records *why each span ran*: every span then carries a TraceId (one
+/// proving run or one root rule proof), its own SpanId, and the SpanId of
+/// the span that caused it — including across `ThreadPool::submit`,
+/// which captures the submitting context and re-installs it on the
+/// executing worker. The result is the causal DAG rule → check →
+/// obligation → ATP query that `pec report timeline` reconstructs to
+/// compute the critical path and wasted-work accounting, and that
+/// `pec prove --trace` renders as a Chrome trace
+/// (`timeline::renderChromeTrace`).
 ///
-/// Output is an append-only JSONL **run journal** (`--journal FILE`),
+/// The journal is an append-only JSONL **run journal** (`--journal FILE`),
 /// schema `pec-journal-v1`:
 ///
 ///   {"schema":"pec-journal-v1","start_us":0,...}         header, line 1
 ///   {"ev":"b","ts":12,"trace":1,"span":7,"parent":3,
-///    "tid":2,"name":"atp.query","purpose":"obligation"}  span begin
-///   {"ev":"e","ts":90,"span":7}                          span end
+///    "tid":2,"name":"atp.query"}                         span begin
+///   {"ev":"e","ts":90,"span":7,"purpose":"obligation"}   span end
 ///   {"ev":"i","ts":55,"span":7,"tid":2,"name":"core_skip",...}  instant
 ///
 /// Attribution fields (rule, obligation, purpose, cache, ...) are
@@ -33,11 +38,9 @@
 /// (the parent span exists before anything it causes), so a single
 /// forward pass can resolve every parent.
 ///
-/// The layer is inert — context propagation included — unless a journal
-/// is open: every entry point starts with one relaxed atomic load.
-/// Span ids are also consumed by the Chrome-trace flow events
-/// (`telemetry::flowBegin/flowEnd`) so Perfetto draws cross-thread arrows
-/// between a submit site and the task it caused.
+/// With no journal open a span costs one ring record per edge; ids,
+/// context propagation, attrs and instants are inert (one relaxed atomic
+/// load each).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,12 +92,15 @@ private:
   Context Saved;
 };
 
-/// RAII causal span: on construction (journal open) allocates a SpanId,
-/// records the current span as parent — starting a fresh trace when there
-/// is none — emits the begin line, and becomes the thread's current span.
-/// Attribution fields accumulate and are emitted on the end line.
+/// RAII span. Records a Begin edge in the thread's flight ring on
+/// construction and an End edge (with the duration) on `end()`. When a
+/// journal is open it also allocates a SpanId, records the current span
+/// as parent — starting a fresh trace when there is none — emits the
+/// begin line, and becomes the thread's current span; attribution fields
+/// accumulate and are emitted on the end line.
 class Span {
 public:
+  /// \p Name MUST be a string literal: the flight ring keeps the pointer.
   explicit Span(const char *Name);
   ~Span();
   Span(const Span &) = delete;
@@ -106,28 +112,29 @@ public:
   void attr(const char *Key, const std::string &Value);
   void attr(const char *Key, uint64_t Value);
 
-  /// Emits the end line before the scope closes (destructor then no-ops).
+  /// Closes the span before the scope ends (the destructor then does
+  /// nothing). Spans must end in LIFO order on their thread.
   void end();
 
-  /// This span's id (0 when tracing was off at construction).
+  /// This span's id (0 when the journal was closed at construction, or
+  /// once the span ended).
   uint64_t id() const { return Id; }
 
 private:
+  const char *Name; ///< nullptr once ended.
+  uint64_t StartNs;
   uint64_t Id = 0;
   Context Saved;
   /// Pre-rendered ",\"k\":\"v\"" attr fields for the end line.
   std::string EndAttrs;
 };
 
-/// Point event attached to the current span (e.g. a strengthening
-/// re-check skipped by an unsat core). \p Key/\p Value add one
-/// attribution field ("" key = none).
+/// Journal-only point event attached to the current span (e.g. a
+/// strengthening re-check skipped by an unsat core). \p Key/\p Value add
+/// one attribution field ("" key = none). Callers that build an expensive
+/// value (a printed formula) check `enabled()` first.
 void instant(const char *Name, const char *Key = "",
              const std::string &Value = std::string());
-
-/// Allocates a fresh id from the span-id counter. Used for Chrome-trace
-/// flow bindings that need an id but no journal span.
-uint64_t freshId();
 
 } // namespace trace
 } // namespace pec

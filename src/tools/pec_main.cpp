@@ -19,12 +19,11 @@
 // accept the observability flags (docs/OBSERVABILITY.md):
 //
 //   --trace FILE         write a Chrome trace_event JSON of the run to FILE
+//                        (rendered from the run journal at exit)
 //   --journal FILE       write a pec-journal-v1 causal run journal to FILE
 //   --report json        emit the pec-report-v6 JSON document on stdout
 //                        (human-readable lines move to stderr)
 //   --stats              print the per-rule phase/ATP statistics table
-//   --metrics-out FILE   write the pec::metrics registry in Prometheus
-//                        text exposition format to FILE
 //   --slow-query-ms N    dump the flight recorder when a single ATP query
 //                        exceeds N milliseconds
 //   --log json|text      structured log format on stderr (default text)
@@ -58,7 +57,6 @@
 #include "support/FlightRecorder.h"
 #include "support/Log.h"
 #include "support/Metrics.h"
-#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -121,8 +119,6 @@ int usage() {
                "                  (analyze with `pec report timeline`)\n"
                "  --report json   emit the pec-report-v6 JSON on stdout\n"
                "  --stats         print the per-rule statistics table\n"
-               "  --metrics-out FILE  write Prometheus-format metrics to "
-               "FILE\n"
                "  --slow-query-ms N   flight-recorder dump when one ATP\n"
                "                      query exceeds N milliseconds\n"
                "  --log json|text     structured stderr log format\n"
@@ -155,7 +151,6 @@ int usage() {
 /// The observability flags shared by prove, prove-suite, and tv.
 struct OutputOptions {
   std::string TracePath;
-  std::string MetricsPath;
   std::string JournalPath;
   bool ReportJson = false;
   bool Stats = false;
@@ -178,8 +173,28 @@ struct OutputOptions {
   FILE *humanStream() const { return ReportJson ? stderr : stdout; }
 };
 
+bool readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path);
+  if (!In) {
+    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
+    return false;
+  }
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  Out = Buffer.str();
+  return true;
+}
+
+/// The journal a run records: --journal's file, or with --trace alone a
+/// scratch file next to the trace, removed once the trace is rendered.
+std::string journalPath(const OutputOptions &O) {
+  if (!O.JournalPath.empty() || O.TracePath.empty())
+    return O.JournalPath;
+  return O.TracePath + ".journal.tmp";
+}
+
 /// Strips the observability and parallelism flags (--trace, --report,
-/// --stats, --metrics-out, --slow-query-ms, --log, --log-level, --jobs,
+/// --stats, --journal, --slow-query-ms, --log, --log-level, --jobs,
 /// --cache-stats) out of \p Args. Returns false on a malformed flag
 /// (missing file name, unknown report format, non-numeric job count).
 bool parseOutputOptions(std::vector<std::string> &Args, OutputOptions &Out) {
@@ -206,12 +221,6 @@ bool parseOutputOptions(std::vector<std::string> &Args, OutputOptions &Out) {
         return false;
       }
       Out.JournalPath = Args[++I];
-    } else if (Args[I] == "--metrics-out") {
-      if (I + 1 >= Args.size()) {
-        std::fprintf(stderr, "error: --metrics-out requires a file name\n");
-        return false;
-      }
-      Out.MetricsPath = Args[++I];
     } else if (Args[I] == "--slow-query-ms") {
       if (I + 1 >= Args.size()) {
         std::fprintf(stderr,
@@ -289,13 +298,44 @@ bool parseOutputOptions(std::vector<std::string> &Args, OutputOptions &Out) {
     }
   }
   Args = std::move(Rest);
-  if (!Out.TracePath.empty()) {
-    telemetry::reset();
-    telemetry::setEnabled(true);
+  std::string Journal = journalPath(Out);
+  if (Journal.empty())
+    return true;
+  if (!trace::journalOpen(Journal)) {
+    bool Scratch = Out.JournalPath.empty();
+    std::fprintf(stderr, "error: cannot write %s to '%s'\n",
+                 Scratch ? "trace" : "journal",
+                 (Scratch ? Out.TracePath : Journal).c_str());
+    return false;
   }
-  if (!Out.JournalPath.empty() && !trace::journalOpen(Out.JournalPath)) {
-    std::fprintf(stderr, "error: cannot write journal to '%s'\n",
-                 Out.JournalPath.c_str());
+  if (Out.JournalPath.empty()) {
+    // Also on an early error exit, which never reaches finishRun.
+    static std::string Scratch;
+    Scratch = Journal;
+    std::atexit([] { std::remove(Scratch.c_str()); });
+  }
+  return true;
+}
+
+/// Renders the closed run journal at \p JournalPath as the Chrome trace
+/// \p TracePath. Returns false (with a message) when either file fails.
+bool renderTraceFile(const std::string &JournalPath,
+                     const std::string &TracePath) {
+  std::string Text, Error;
+  timeline::Journal J;
+  if (!readFile(JournalPath, Text))
+    return false;
+  if (!timeline::parseJournal(Text, J, &Error)) {
+    std::fprintf(stderr, "error: %s: %s\n", JournalPath.c_str(),
+                 Error.c_str());
+    return false;
+  }
+  std::ofstream Out(TracePath);
+  Out << timeline::renderChromeTrace(J);
+  Out.close();
+  if (!Out) {
+    std::fprintf(stderr, "error: cannot write trace to '%s'\n",
+                 TracePath.c_str());
     return false;
   }
   return true;
@@ -307,36 +347,17 @@ bool parseOutputOptions(std::vector<std::string> &Args, OutputOptions &Out) {
 int finishRun(const OutputOptions &Opts, const std::string &Command,
               const std::vector<RuleReport> &Rules, int Exit,
               const RunInfo *Run = nullptr) {
+  trace::journalClose();
   if (!Opts.TracePath.empty()) {
-    telemetry::setEnabled(false);
-    if (!telemetry::writeChromeTrace(Opts.TracePath)) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                   Opts.TracePath.c_str());
+    if (!renderTraceFile(journalPath(Opts), Opts.TracePath))
       Exit = Exit ? Exit : 1; // The requested artifact is missing.
-    } else {
+    else
       std::fprintf(Opts.humanStream(), "trace written to %s\n",
                    Opts.TracePath.c_str());
-    }
   }
-  if (!Opts.JournalPath.empty()) {
-    trace::journalClose();
+  if (!Opts.JournalPath.empty())
     std::fprintf(Opts.humanStream(), "journal written to %s\n",
                  Opts.JournalPath.c_str());
-  }
-  if (!Opts.MetricsPath.empty()) {
-    std::string Prom = metrics::renderPrometheus(metrics::snapshot());
-    FILE *F = std::fopen(Opts.MetricsPath.c_str(), "w");
-    if (!F || std::fwrite(Prom.data(), 1, Prom.size(), F) != Prom.size()) {
-      std::fprintf(stderr, "error: cannot write metrics to '%s'\n",
-                   Opts.MetricsPath.c_str());
-      Exit = Exit ? Exit : 1;
-    } else {
-      std::fprintf(Opts.humanStream(), "metrics written to %s\n",
-                   Opts.MetricsPath.c_str());
-    }
-    if (F)
-      std::fclose(F);
-  }
   if (Opts.Stats)
     std::fprintf(Opts.humanStream(), "\n%s",
                  renderStatsTable(Rules).c_str());
@@ -355,18 +376,6 @@ int finishRun(const OutputOptions &Opts, const std::string &Command,
     std::fwrite(Doc.data(), 1, Doc.size(), stdout);
   }
   return Exit;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
-    return false;
-  }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
 }
 
 void printProof(FILE *Out, const std::string &Name, const PecResult &R) {

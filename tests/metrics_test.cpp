@@ -3,8 +3,9 @@
 // The always-on observability layer (docs/OBSERVABILITY.md): log-linear
 // bucket geometry and percentile readout against a sorted scalar
 // reference, per-thread shard merge determinism under the ThreadPool,
-// the Prometheus renderer's shape, and the flight recorder's slow-query
-// auto-dump (the dump must be valid JSON containing the offending span).
+// the flight recorder's slow-query auto-dump (the dump must be valid JSON
+// containing the offending span), and the release of per-thread rings
+// and shards at thread exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace pec;
@@ -175,30 +178,6 @@ TEST(MetricsRegistry, ShardMergeIsDeterministicUnderThreadPool) {
 }
 
 //===----------------------------------------------------------------------===//
-// Prometheus renderer (shape only; pec_metrics_check owns the invariants)
-//===----------------------------------------------------------------------===//
-
-TEST(MetricsPrometheus, RendererEmitsTypedFamilies) {
-  metrics::resetForTest();
-  metrics::add(metrics::Counter::AtpCacheHits, 3);
-  metrics::record(metrics::Hist::SatConflictSize, 5);
-  metrics::record(metrics::Hist::SatConflictSize, 700);
-  std::string Text = metrics::renderPrometheus(metrics::snapshot());
-  EXPECT_NE(Text.find("# TYPE pec_atp_cache_hits_total counter"),
-            std::string::npos);
-  EXPECT_NE(Text.find("pec_atp_cache_hits_total 3"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE pec_sat_conflict_size histogram"),
-            std::string::npos);
-  EXPECT_NE(Text.find("pec_sat_conflict_size_count 2"), std::string::npos);
-  EXPECT_NE(Text.find("pec_sat_conflict_size_sum 705"), std::string::npos);
-  EXPECT_NE(Text.find("le=\"+Inf\""), std::string::npos);
-  // Per-purpose slices share one family header with purpose labels.
-  EXPECT_NE(Text.find("# TYPE pec_atp_query_us histogram"),
-            std::string::npos);
-  metrics::resetForTest();
-}
-
-//===----------------------------------------------------------------------===//
 // Flight recorder: a slow query must produce a valid JSON dump
 //===----------------------------------------------------------------------===//
 
@@ -240,21 +219,66 @@ TEST(FlightRecorder, SlowQueryDumpIsValidJsonWithOffendingSpan) {
     for (const json::ValuePtr &Ev : Thread->get("events")->array()) {
       const std::string &Name = Ev->get("name")->stringValue();
       const std::string &Ph = Ev->get("ph")->stringValue();
-      if (Name == "atp.validity" && Ph == "B")
+      if (Name == "atp.query" && Ph == "B")
         SawBegin = true;
-      if (Name == "atp.validity" && Ph == "E") {
+      if (Name == "atp.query" && Ph == "E") {
         SawEnd = true;
         EXPECT_GE(Ev->get("arg")->numberValue(), 1.0);
       }
       if (Name == "slow-query" && Ph == "I")
         SawInstant = true;
     }
-  EXPECT_TRUE(SawBegin) << "dump lacks the atp.validity Begin edge";
-  EXPECT_TRUE(SawEnd) << "dump lacks the atp.validity End edge";
+  EXPECT_TRUE(SawBegin) << "dump lacks the atp.query Begin edge";
+  EXPECT_TRUE(SawEnd) << "dump lacks the atp.query End edge";
   EXPECT_TRUE(SawInstant) << "dump lacks the slow-query instant";
 
   // The metrics side counted the breach too.
   EXPECT_GE(metrics::snapshot().counter(metrics::Counter::SlowQueries), 1u);
+
+  std::remove(flight::lastDumpPath());
+  flight::resetForTest();
+  metrics::resetForTest();
+}
+
+//===----------------------------------------------------------------------===//
+// Per-thread recorder state is released at thread exit
+//===----------------------------------------------------------------------===//
+
+TEST(FlightRecorder, ThreadExitReleasesRingsAndShards) {
+  metrics::resetForTest();
+  flight::resetForTest();
+  // More threads than the ring table has slots (128), never two alive at
+  // once: each returns its ring slot and folds its shard when it exits.
+  constexpr int Threads = 200;
+  for (int I = 0; I < Threads; ++I)
+    std::thread([Last = I == Threads - 1] {
+      trace::Span S(Last ? "test.last_thread" : "test.thread");
+      metrics::add(metrics::Counter::SlowQueries);
+    }).join();
+  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::SlowQueries),
+            static_cast<uint64_t>(Threads));
+
+  std::string Dir = testing::TempDir();
+  if (!Dir.empty() && Dir.back() == '/')
+    Dir.pop_back();
+  flight::setDumpDir(Dir.c_str());
+  ASSERT_TRUE(flight::dump("test"));
+  std::ifstream In(flight::lastDumpPath());
+  std::stringstream Ss;
+  Ss << In.rdbuf();
+  std::string Error;
+  json::ValuePtr Root = json::parse(Ss.str(), &Error);
+  ASSERT_TRUE(Root != nullptr) << "dump is not valid JSON: " << Error;
+  bool SawBegin = false, SawEnd = false;
+  for (const json::ValuePtr &Thread : Root->get("threads")->array())
+    for (const json::ValuePtr &Ev : Thread->get("events")->array()) {
+      if (Ev->get("name")->stringValue() != "test.last_thread")
+        continue;
+      SawBegin |= Ev->get("ph")->stringValue() == "B";
+      SawEnd |= Ev->get("ph")->stringValue() == "E";
+    }
+  EXPECT_TRUE(SawBegin && SawEnd)
+      << "the last thread's span is missing from the flight dump";
 
   std::remove(flight::lastDumpPath());
   flight::resetForTest();

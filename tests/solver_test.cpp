@@ -371,6 +371,18 @@ TEST(Term, ConstantFolding) {
   EXPECT_EQ(A.mkSub(X, X), A.mkInt(0));
 }
 
+TEST(Term, ConstantFoldingWrapsLikeTheInterpreter) {
+  // Folding overflows wrap in two's complement, as `pec interp` computes
+  // x := 3037000500 * 3037000500 (signed overflow would be undefined).
+  TermArena A;
+  const int64_t Max = INT64_MAX, Min = INT64_MIN;
+  EXPECT_EQ(A.mkMul(A.mkInt(3037000500), A.mkInt(3037000500)),
+            A.mkInt(-9223372036709301616));
+  EXPECT_EQ(A.mkAdd(A.mkInt(Max), A.mkInt(1)), A.mkInt(Min));
+  EXPECT_EQ(A.mkSub(A.mkInt(Min), A.mkInt(1)), A.mkInt(Max));
+  EXPECT_EQ(A.mkNeg(A.mkInt(Min)), A.mkInt(Min));
+}
+
 TEST(Term, StateSelectOverStore) {
   TermArena A;
   TermId S = A.mkSymConst(Symbol::get("s"), Sort::State);

@@ -1,16 +1,20 @@
-//===- telemetry_test.cpp - pec::telemetry unit tests -----------------------------===//
+//===- telemetry_test.cpp - Spans, the Chrome trace, purpose tags --------===//
 //
-// Covers the tracing/metrics layer: span nesting in the emitted Chrome
-// trace, counter aggregation, JSON escaping of hostile rule names,
-// disabled-mode no-ops, purpose tagging, and a golden-file check that
-// `pec prove-suite --report json` emits exactly the documented
-// pec-report-v6 field set.
+// Covers the span layer as `pec prove --trace` sees it: `trace::Span`s
+// recorded into a journal and rendered by `timeline::renderChromeTrace`
+// (span nesting, explicit end, JSON escaping of hostile names, disabled-
+// mode no-ops, cross-thread flow arrows), purpose tagging, and a
+// golden-file check that `pec prove-suite --report json` emits exactly
+// the documented pec-report-v6 field set.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pec/Report.h"
+#include "pec/Timeline.h"
+#include "support/Escape.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
+#include "support/Trace.h"
 
 #include "gtest/gtest.h"
 
@@ -19,67 +23,62 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 using namespace pec;
 namespace tel = pec::telemetry;
 
 namespace {
 
-/// RAII: resets telemetry before and after each use so tests do not leak
-/// events into one another.
-struct TelemetrySandbox {
-  TelemetrySandbox() {
-    tel::setEnabled(false);
-    tel::reset();
-  }
-  ~TelemetrySandbox() {
-    tel::setEnabled(false);
-    tel::reset();
-  }
-};
+std::string journalFile() {
+  return testing::TempDir() + "/pec_telemetry_test_journal.jsonl";
+}
 
-/// Writes the current trace to a temp file, parses it back, and returns
-/// the traceEvents array.
-json::ValuePtr roundTripTrace() {
-  std::string Path =
-      testing::TempDir() + "/pec_telemetry_test_trace.json";
-  EXPECT_TRUE(tel::writeChromeTrace(Path));
+/// Closes the journal the test recorded into (if it opened one), renders
+/// it as a Chrome trace, parses that back, and returns its traceEvents
+/// array.
+json::ValuePtr renderRecorded() {
+  trace::journalClose();
+  std::string Path = journalFile();
   std::ifstream In(Path);
-  EXPECT_TRUE(In.good());
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
   std::remove(Path.c_str());
+  std::string Text = Buffer.str();
+  if (Text.empty()) // Never opened: an empty journal.
+    Text = "{\"schema\":\"pec-journal-v1\",\"start_us\":0}\n";
+  timeline::Journal J;
   std::string Error;
-  json::ValuePtr Doc = json::parse(Buffer.str(), &Error);
+  EXPECT_TRUE(timeline::parseJournal(Text, J, &Error)) << Error;
+  json::ValuePtr Doc = json::parse(timeline::renderChromeTrace(J), &Error);
   EXPECT_TRUE(Doc) << Error;
   if (!Doc)
     return nullptr;
   return Doc->get("traceEvents");
 }
 
-json::ValuePtr findEvent(const json::ValuePtr &Events,
-                         const std::string &Name) {
+json::ValuePtr findEvent(const json::ValuePtr &Events, const std::string &Name,
+                         const std::string &Ph = "") {
   for (const json::ValuePtr &E : Events->array())
-    if (E->get("name") && E->get("name")->stringValue() == Name)
+    if (E->get("name") && E->get("name")->stringValue() == Name &&
+        (Ph.empty() || E->get("ph")->stringValue() == Ph))
       return E;
   return nullptr;
 }
 
 TEST(TelemetryTest, SpanNestingInChromeTrace) {
-  TelemetrySandbox Sandbox;
-  tel::setEnabled(true);
+  ASSERT_TRUE(trace::journalOpen(journalFile()));
   {
-    tel::Span Outer("outer", "test");
-    Outer.arg("rule", "loop_fusion");
+    trace::Span Outer("outer");
+    Outer.attr("rule", "loop_fusion");
     {
-      tel::Span Inner("inner", "test");
-      Inner.arg("depth", uint64_t(2));
+      trace::Span Inner("inner");
+      Inner.attr("depth", uint64_t(2));
     }
-    tel::instant("marker", "test", "payload text");
+    trace::instant("marker", "payload", "payload text");
   }
-  tel::setEnabled(false);
 
-  json::ValuePtr Events = roundTripTrace();
+  json::ValuePtr Events = renderRecorded();
   ASSERT_TRUE(Events && Events->isArray());
   ASSERT_EQ(Events->array().size(), 3u);
 
@@ -106,72 +105,47 @@ TEST(TelemetryTest, SpanNestingInChromeTrace) {
   EXPECT_GE(InnerStart, OuterStart);
   EXPECT_LE(InnerEnd, OuterEnd);
 
-  // Args survive the round trip.
+  // Attrs survive the round trip as args.
   EXPECT_EQ(Outer->get("args")->get("rule")->stringValue(), "loop_fusion");
+  EXPECT_EQ(Inner->get("args")->get("depth")->stringValue(), "2");
   EXPECT_EQ(Marker->get("args")->get("payload")->stringValue(),
             "payload text");
 }
 
 TEST(TelemetryTest, ExplicitEndClosesSpanEarly) {
-  TelemetrySandbox Sandbox;
-  tel::setEnabled(true);
+  ASSERT_TRUE(trace::journalOpen(journalFile()));
   {
-    tel::Span S("early", "test");
+    trace::Span S("early");
     S.end();
     S.end(); // Idempotent.
-    tel::Span After("after", "test");
+    trace::Span After("after");
   }
-  tel::setEnabled(false);
-  json::ValuePtr Events = roundTripTrace();
+  json::ValuePtr Events = renderRecorded();
   ASSERT_TRUE(Events);
   EXPECT_EQ(Events->array().size(), 2u);
-  EXPECT_TRUE(findEvent(Events, "early"));
-  EXPECT_TRUE(findEvent(Events, "after"));
-}
-
-TEST(TelemetryTest, CounterAggregation) {
-  TelemetrySandbox Sandbox;
-  tel::setEnabled(true);
-  tel::counterAdd("engine/rule_a/applications", 2);
-  tel::counterAdd("engine/rule_a/applications", 3);
-  tel::counterAdd("checker/pruned_path_pairs");
-  tel::setEnabled(false);
-
-  auto Counters = tel::counterSnapshot();
-  ASSERT_EQ(Counters.size(), 2u);
-  // Sorted by name.
-  EXPECT_EQ(Counters[0].first, "checker/pruned_path_pairs");
-  EXPECT_EQ(Counters[0].second, 1u);
-  EXPECT_EQ(Counters[1].first, "engine/rule_a/applications");
-  EXPECT_EQ(Counters[1].second, 5u);
-
-  // The JSON report form parses and carries the same values.
-  std::string Error;
-  json::ValuePtr Doc = json::parse(tel::counterReportJson(), &Error);
-  ASSERT_TRUE(Doc) << Error;
-  EXPECT_EQ(
-      Doc->get("counters")->get("engine/rule_a/applications")->numberValue(),
-      5);
+  json::ValuePtr Early = findEvent(Events, "early");
+  json::ValuePtr After = findEvent(Events, "after");
+  ASSERT_TRUE(Early && After);
+  EXPECT_LE(Early->get("ts")->numberValue() + Early->get("dur")->numberValue(),
+            After->get("ts")->numberValue());
 }
 
 TEST(TelemetryTest, JsonEscapingOfHostileRuleNames) {
-  // Rule names flow into span names, counter names, and report fields;
-  // hostile characters must not break the JSON documents.
-  std::string Hostile = "rule\"with\\quotes\nand\tcontrol\x01chars";
-  std::string Escaped = tel::jsonEscape(Hostile);
+  // Rule names flow into span names, attrs, and report fields; hostile
+  // characters must not break the JSON documents.
+  static const char Hostile[] = "rule\"with\\quotes\nand\tcontrol\x01chars";
+  std::string Escaped = escapeJson(Hostile);
   std::string Error;
   json::ValuePtr Back = json::parse("\"" + Escaped + "\"", &Error);
   ASSERT_TRUE(Back) << Error;
   EXPECT_EQ(Back->stringValue(), Hostile);
 
-  TelemetrySandbox Sandbox;
-  tel::setEnabled(true);
+  ASSERT_TRUE(trace::journalOpen(journalFile()));
   {
-    tel::Span S(Hostile, "test");
-    S.arg("note", Hostile);
+    trace::Span S(Hostile); // A literal: the flight ring keeps it.
+    S.attr("note", Hostile);
   }
-  tel::setEnabled(false);
-  json::ValuePtr Events = roundTripTrace();
+  json::ValuePtr Events = renderRecorded();
   ASSERT_TRUE(Events);
   ASSERT_EQ(Events->array().size(), 1u);
   EXPECT_EQ(Events->array()[0]->get("name")->stringValue(), Hostile);
@@ -180,33 +154,56 @@ TEST(TelemetryTest, JsonEscapingOfHostileRuleNames) {
 }
 
 TEST(TelemetryTest, DisabledModeIsANoOp) {
-  TelemetrySandbox Sandbox;
-  ASSERT_FALSE(tel::enabled());
+  ASSERT_FALSE(trace::enabled());
   {
-    tel::Span S("invisible", "test");
-    S.arg("key", "value");
-    tel::instant("nothing", "test");
-    tel::counterAdd("some/counter", 42);
+    trace::Span S("invisible");
+    S.attr("key", "value");
+    trace::instant("nothing");
+    EXPECT_EQ(S.id(), 0u);
   }
-  EXPECT_TRUE(tel::counterSnapshot().empty());
-  json::ValuePtr Events = roundTripTrace();
+  json::ValuePtr Events = renderRecorded();
   ASSERT_TRUE(Events);
   EXPECT_TRUE(Events->array().empty());
 }
 
 TEST(TelemetryTest, SpanOutlivingDisableIsDropped) {
-  // A span open when tracing turns on/off mid-life must not corrupt the
-  // buffer: spans started while disabled record nothing even if they end
-  // while enabled.
-  TelemetrySandbox Sandbox;
+  // A span begun while no journal was open must not write its end line
+  // (an end without a begin) when it ends after the journal opened.
   {
-    tel::Span Straddler("straddler", "test");
-    tel::setEnabled(true);
+    trace::Span Straddler("straddler");
+    ASSERT_TRUE(trace::journalOpen(journalFile()));
   }
-  tel::setEnabled(false);
-  json::ValuePtr Events = roundTripTrace();
+  json::ValuePtr Events = renderRecorded();
   ASSERT_TRUE(Events);
   EXPECT_TRUE(Events->array().empty());
+}
+
+TEST(TelemetryTest, CrossThreadParentBecomesFlowPair) {
+  ASSERT_TRUE(trace::journalOpen(journalFile()));
+  {
+    trace::Span Parent("parent");
+    std::thread Worker([Ctx = trace::current()] {
+      trace::Adopt Adopted(Ctx);
+      trace::Span Child("child");
+    });
+    Worker.join();
+  }
+  json::ValuePtr Events = renderRecorded();
+  ASSERT_TRUE(Events);
+  json::ValuePtr Parent = findEvent(Events, "parent");
+  json::ValuePtr Child = findEvent(Events, "child");
+  json::ValuePtr Start = findEvent(Events, "cause", "s");
+  json::ValuePtr Finish = findEvent(Events, "cause", "f");
+  ASSERT_TRUE(Parent && Child && Start && Finish);
+  // The arrow leaves the parent's thread and lands on the child's slice.
+  auto Num = [](const json::ValuePtr &E, const char *Key) {
+    return E->get(Key)->numberValue();
+  };
+  EXPECT_EQ(Num(Start, "tid"), Num(Parent, "tid"));
+  EXPECT_EQ(Num(Finish, "tid"), Num(Child, "tid"));
+  EXPECT_NE(Num(Parent, "tid"), Num(Child, "tid"));
+  EXPECT_EQ(Num(Start, "id"), Num(Finish, "id"));
+  EXPECT_EQ(Num(Finish, "ts"), Num(Child, "ts"));
 }
 
 TEST(TelemetryTest, PurposeScopeNestsAndRestores) {
