@@ -175,47 +175,6 @@ void BM_TheoryPropagationOff(benchmark::State &State) {
 BENCHMARK(BM_TheoryPropagationOn);
 BENCHMARK(BM_TheoryPropagationOff);
 
-/// Assert-time LIA bound propagation ON vs OFF: single-variable bound
-/// constraints whose integer tightening crosses immediately, buried under
-/// the same chaff shape as the schedule workload. ON refutes each branch
-/// with a pivot-free bound check at the partial assignment; OFF only
-/// discovers the contradiction in the full simplex gate.
-void runBoundPropWorkload(bool BoundProp, benchmark::State &State) {
-  AtpOptions Options;
-  Options.LiaBoundPropagation = BoundProp;
-  for (auto _ : State) {
-    TermArena A;
-    Atp Prover(A, Options);
-    std::vector<FormulaPtr> Cs;
-    std::vector<TermId> X;
-    for (int I = 0; I < 10; ++I)
-      X.push_back(
-          A.mkSymConst(Symbol::get("x" + std::to_string(I)), Sort::Int));
-    // Chaff splits so the SAT core has branching to do before any full
-    // assignment is reached.
-    for (int I = 0; I + 1 < 10; ++I)
-      Cs.push_back(Formula::mkOr(Formula::mkLe(A, X[I], X[I + 1]),
-                                 Formula::mkEq(A, X[I], X[I + 1])));
-    // Crossed single-variable bounds: 7 <= x0 and x0 <= 3. Every branch
-    // that asserts both is refutable by bound propagation alone.
-    Cs.push_back(Formula::mkLe(A, A.mkInt(7), X[0]));
-    Cs.push_back(Formula::mkLe(A, X[0], A.mkInt(3)));
-    bool Sat =
-        Prover.query(AtpQuery::satisfiability(Formula::mkAnd(std::move(Cs))))
-            .Verdict;
-    benchmark::DoNotOptimize(Sat);
-  }
-}
-
-void BM_LiaBoundPropOn(benchmark::State &State) {
-  runBoundPropWorkload(true, State);
-}
-void BM_LiaBoundPropOff(benchmark::State &State) {
-  runBoundPropWorkload(false, State);
-}
-BENCHMARK(BM_LiaBoundPropOn);
-BENCHMARK(BM_LiaBoundPropOff);
-
 /// Luby restart-unit ablation: smaller bases restart aggressively (good
 /// for heavy-tailed searches, pure overhead on easy ones).
 void BM_RestartSchedule(benchmark::State &State) {

@@ -102,12 +102,6 @@ struct AtpOptions {
   /// Online theory propagation (DPLL(T) style); off falls back to
   /// check-at-conflict-only.
   bool TheoryPropagation = true;
-  /// LIA bound propagation at assert time: the solver integer-tightens
-  /// per-variable bounds while constraints are built, and partial
-  /// assignments run a pivot-free probe (TheorySolver::checkPartial) that
-  /// catches crossed bounds before the full simplex gate. Off degrades to
-  /// EUF-only partial checks; bench_atp carries the A/B.
-  bool LiaBoundPropagation = true;
   // SAT search schedule (SatConfig mirrors; exposed for bench ablations).
   uint64_t LubyRestartBase = 100;
   uint32_t LearntBudget = 2000;

@@ -47,27 +47,48 @@ void CongruenceClosure::addEquality(TermId A, TermId B) {
   Dirty = true;
 }
 
+std::vector<uint32_t> *CongruenceClosure::diseqsOf(TermId R) {
+  if (DiseqsByRoot.empty())
+    return nullptr;
+  auto It = DiseqsByRoot.find(R);
+  return It == DiseqsByRoot.end() ? nullptr : &It->second;
+}
+
 void CongruenceClosure::addDisequality(TermId A, TermId B) {
+  auto Index = static_cast<uint32_t>(Diseqs.size());
   Diseqs.emplace_back(A, B);
+  DiseqsByRoot[findRoot(A)].push_back(Index);
+  DiseqsByRoot[findRoot(B)].push_back(Index);
+  UndoTrail.push_back(Undo{InvalidTerm, InvalidTerm, 0});
   Dirty = true;
 }
 
 void CongruenceClosure::pushState() {
-  Frames.push_back(Frame{UndoTrail.size(), Diseqs.size(), Conflicted, Dirty,
-                         ClosedArenaSize, RelevantRev});
+  Frames.push_back(
+      Frame{UndoTrail.size(), Conflicted, Dirty, ClosedArenaSize, RelevantRev});
 }
 
 void CongruenceClosure::popState() {
   assert(!Frames.empty() && "popState without matching pushState");
   const Frame F = Frames.back();
   Frames.pop_back();
+  // Newest first: every record sees the partition and the lists exactly
+  // as it left them.
   while (UndoTrail.size() > F.TrailSize) {
-    const Merge &M = UndoTrail.back();
-    Parent[M.Child] = M.Child;
-    ClassSize[M.Root] -= ClassSize[M.Child];
+    const Undo &U = UndoTrail.back();
+    if (U.Child == InvalidTerm) {
+      auto [A, B] = Diseqs.back();
+      DiseqsByRoot[findRoot(A)].pop_back();
+      DiseqsByRoot[findRoot(B)].pop_back();
+      Diseqs.pop_back();
+    } else {
+      Parent[U.Child] = U.Child;
+      ClassSize[U.Root] -= ClassSize[U.Child];
+      if (std::vector<uint32_t> *L = diseqsOf(U.Root))
+        L->resize(U.RootDiseqs);
+    }
     UndoTrail.pop_back();
   }
-  Diseqs.resize(F.DiseqCount);
   Conflicted = F.Conflicted;
   // The partition is exactly what it was at push time — unless the
   // relevance mask widened meanwhile, in which case the fixpoint must
@@ -121,7 +142,17 @@ bool CongruenceClosure::merge(TermId A, TermId B) {
   }
   Parent[Child] = Root;
   ClassSize[Root] += ClassSize[Child];
-  UndoTrail.push_back(Merge{Child, Root});
+  // The root inherits the child's disequalities; undoing the union
+  // truncates the root's list back to RootDiseqs.
+  std::vector<uint32_t> *RootList = diseqsOf(Root);
+  uint32_t RootDiseqs = RootList ? static_cast<uint32_t>(RootList->size()) : 0;
+  if (std::vector<uint32_t> *ChildList = diseqsOf(Child);
+      ChildList && !ChildList->empty()) {
+    if (!RootList)
+      RootList = &DiseqsByRoot[Root];
+    RootList->insert(RootList->end(), ChildList->begin(), ChildList->end());
+  }
+  UndoTrail.push_back(Undo{Child, Root, RootDiseqs});
   Dirty = true;
   return true;
 }
@@ -301,8 +332,14 @@ bool CongruenceClosure::mustDiffer(TermId A, TermId B) {
   bool BConst = Nb.Op == TermOp::IntConst || Nb.Op == TermOp::NameLit;
   if (AConst && BConst)
     return true; // Distinct roots of hash-consed constants differ.
-  for (auto &[X, Y] : Diseqs) {
-    TermId Rx = findRoot(X), Ry = findRoot(Y);
+  const std::vector<uint32_t> *La = diseqsOf(Ra), *Lb = diseqsOf(Rb);
+  if (!La || !Lb)
+    return false;
+  // Every disequality separating the classes is on both lists.
+  if (Lb->size() < La->size())
+    std::swap(La, Lb);
+  for (uint32_t I : *La) {
+    TermId Rx = findRoot(Diseqs[I].first), Ry = findRoot(Diseqs[I].second);
     if ((Rx == Ra && Ry == Rb) || (Rx == Rb && Ry == Ra))
       return true;
   }

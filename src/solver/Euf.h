@@ -14,12 +14,20 @@
 /// variable-name literals, or violating an asserted disequality.
 ///
 /// The closure is *backtrackable*: every union-find merge (asserted or
-/// derived) is recorded on an undo trail, and `pushState()`/`popState()`
-/// bracket a group of assertions whose effects can be retracted exactly.
-/// `close()` runs the congruence/store fixpoint incrementally from the
-/// current merged state — the rules are monotone in the partition, so the
-/// incremental fixpoint reaches the same least closure a from-scratch run
-/// would. Conflicts latch until the state that caused them is popped.
+/// derived) and every asserted disequality is recorded on one chronological
+/// undo trail, and `pushState()`/`popState()` bracket a group of assertions
+/// whose effects can be retracted exactly. `close()` runs the
+/// congruence/store fixpoint from the current merged state — the rules are
+/// monotone in the partition, so continuing from it reaches the same least
+/// closure a from-scratch run would — but each round rescans every relevant
+/// term. Conflicts latch until the state that caused them is popped.
+///
+/// Each class root that touches an asserted disequality owns the list of
+/// those disequalities' indices [Nieuwenhuis & Oliveras 2007]: `merge`
+/// appends the child's list to the root's, so `mustDiffer` scans only the
+/// shorter of two lists instead of every disequality. The lists exist only
+/// for such classes, so a closure that never sees a disequality pays
+/// nothing for them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +37,7 @@
 #include "solver/Term.h"
 
 #include <functional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,8 +68,8 @@ public:
   bool inConflict() const { return Conflicted; }
 
   /// Opens a backtracking frame; popState() restores the partition, the
-  /// disequality set, and the conflict/closure flags to their state at the
-  /// matching pushState().
+  /// disequality set with its per-class lists, and the conflict/closure
+  /// flags to their state at the matching pushState().
   void pushState();
   void popState();
   size_t numStates() const { return Frames.size(); }
@@ -74,6 +83,7 @@ public:
 
   /// True when the current state entails A != B: their classes are pinned
   /// to distinct constants, or an asserted disequality separates them.
+  /// Scans the shorter of the two classes' disequality lists.
   bool mustDiffer(TermId A, TermId B);
 
   /// Invokes \p Fn for every pair (A, B) of *distinct* terms that ended up
@@ -91,24 +101,34 @@ private:
 
   struct Frame {
     size_t TrailSize;
-    size_t DiseqCount;
     bool Conflicted;
     bool Dirty;
     size_t ClosedArenaSize;
     uint64_t RelevantRev;
   };
-  /// One undo record per union: popping re-roots Child and shrinks Root.
-  struct Merge {
+  /// One undo record per union or asserted disequality, oldest first.
+  /// Undoing a union re-roots Child, shrinks Root, and truncates Root's
+  /// disequality list to RootDiseqs. Undoing a disequality (Child ==
+  /// InvalidTerm) pops the newest one from Diseqs and its index from the
+  /// lists of its endpoints' roots.
+  struct Undo {
     TermId Child;
     TermId Root;
+    uint32_t RootDiseqs;
   };
+
+  /// The disequality list of class root \p R; null when it has none.
+  std::vector<uint32_t> *diseqsOf(TermId R);
 
   const TermArena &Arena;
   std::vector<char> Relevant;
   std::vector<TermId> Parent;
   std::vector<uint32_t> ClassSize;
   std::vector<std::pair<TermId, TermId>> Diseqs;
-  std::vector<Merge> UndoTrail;
+  /// Class root -> indices into Diseqs of the disequalities touching the
+  /// class; entries exist only for classes that have had one.
+  std::unordered_map<TermId, std::vector<uint32_t>> DiseqsByRoot;
+  std::vector<Undo> UndoTrail;
   std::vector<Frame> Frames;
   bool Conflicted = false;
   bool Dirty = false;

@@ -239,41 +239,6 @@ bool LiaSolver::solve(Tableau T, std::vector<LinExpr> PendingNe,
   }
 }
 
-void LiaSolver::propagateBounds(const LinExpr &E, bool IsEq, BuiltRecord &R) {
-  if (!BoundProp || E.Coeffs.size() != 1)
-    return;
-  // c*x + k {<=,=} 0 over a single (integer) variable: derive the
-  // integer-tightened bound(s) on x directly. Equalities pin both sides;
-  // a non-integral pin becomes ceil > floor — a conflict caught here
-  // rather than by branch-and-bound.
-  uint32_t Var = E.Coeffs.begin()->first;
-  const Rational &C = E.Coeffs.begin()->second;
-  Rational Q = -E.Constant / C;
-  auto FloorOf = [](const Rational &V) { return Rational(V.floor()); };
-  auto CeilOf = [](const Rational &V) { return Rational(-((-V).floor())); };
-
-  Bound &B = Base.Bounds[Var];
-  Bound Prev = B;
-  bool WasConflict = boundConflict(B);
-  if (IsEq || C.isPositive()) {
-    Rational Upper = FloorOf(Q);
-    if (!B.Upper || Upper < *B.Upper)
-      B.Upper = Upper;
-  }
-  if (IsEq || C.isNegative()) {
-    Rational Lower = CeilOf(Q);
-    if (!B.Lower || Lower > *B.Lower)
-      B.Lower = Lower;
-  }
-  if (Prev.Lower == B.Lower && Prev.Upper == B.Upper)
-    return;
-  R.Tightened = true;
-  R.BoundVar = Var;
-  R.PrevBound = Prev;
-  if (boundConflict(B) && !WasConflict)
-    ++BaseBoundConflicts;
-}
-
 void LiaSolver::ensureBaseVar(uint32_t Var) {
   while (Base.RowOfVar.size() <= Var) {
     Base.RowOfVar.push_back(-1);
@@ -292,7 +257,6 @@ void LiaSolver::rebuildBase() {
   BuiltLe = 0;
   BuiltNeCount = 0;
   BaseViolated = 0;
-  BaseBoundConflicts = 0;
   extendBase();
 }
 
@@ -318,8 +282,7 @@ void LiaSolver::extendBase() {
   // E <= 0  <=>  slack = E - const <= -const.
   for (; BuiltLe < LeEqConstraints.size(); ++BuiltLe) {
     const auto &[E, IsEq] = LeEqConstraints[BuiltLe];
-    BuiltRecord R{false, static_cast<uint32_t>(BuiltLe), -1, 0, false,
-                  false, 0, {}};
+    BuiltRecord R{false, static_cast<uint32_t>(BuiltLe), -1, 0, false};
     if (E.isConstant()) {
       // Degenerate constant constraint: no row, but burn the slack id.
       R.Slack = BaseNextSlack++;
@@ -337,14 +300,12 @@ void LiaSolver::extendBase() {
       Base.Bounds[Slack].Lower = Rhs;
     R.Row = static_cast<int32_t>(Base.Rows.size() - 1);
     R.Slack = Slack;
-    propagateBounds(E, IsEq, R);
     Built.push_back(R);
   }
 
   for (; BuiltNeCount < NeConstraints.size(); ++BuiltNeCount) {
     const LinExpr &E = NeConstraints[BuiltNeCount];
-    BuiltRecord R{true, static_cast<uint32_t>(BuiltNeCount), -1, 0, false,
-                  false, 0, {}};
+    BuiltRecord R{true, static_cast<uint32_t>(BuiltNeCount), -1, 0, false};
     if (E.isConstant()) {
       R.Slack = BaseNextSlack++;
       ensureBaseVar(R.Slack);
@@ -393,13 +354,6 @@ void LiaSolver::rollback(const Mark &M) {
     } else if (R.Violated) {
       --BaseViolated;
     }
-    if (R.Tightened) {
-      // LIFO restore of the propagated bound tightening.
-      if (boundConflict(Base.Bounds[R.BoundVar]) &&
-          !boundConflict(R.PrevBound))
-        --BaseBoundConflicts;
-      Base.Bounds[R.BoundVar] = R.PrevBound;
-    }
     if (R.Slack + 1 == BaseNextSlack)
       BaseNextSlack = R.Slack;
     if (R.IsNe)
@@ -431,9 +385,9 @@ bool LiaSolver::isFeasible(uint32_t Budget) {
     BaseValid = false; // The base may hold garbage: never reuse it.
     return true;
   }
-  // Assert-time answers: violated degenerate constraints and propagated
-  // bound conflicts refute the set before the tableau is even copied.
-  if (BaseViolated > 0 || BaseBoundConflicts > 0)
+  // A violated degenerate constraint refutes the set before the tableau
+  // is even copied.
+  if (BaseViolated > 0)
     return false;
   // Solve on a copy: the base stays pristine for the next call.
   bool Feasible = solve(Base, BasePendingNe, Budget, Model);
@@ -442,18 +396,6 @@ bool LiaSolver::isFeasible(uint32_t Budget) {
     return true;
   }
   return Feasible;
-}
-
-bool LiaSolver::hasAssertConflict() {
-  if (!BaseValid || BuiltUserVars != NumUserVars)
-    rebuildBase();
-  else
-    extendBase();
-  if (Rational::overflowed()) {
-    BaseValid = false;
-    return false;
-  }
-  return BaseViolated > 0 || BaseBoundConflicts > 0;
 }
 
 int64_t LiaSolver::modelValue(uint32_t Var) const {

@@ -16,6 +16,10 @@
 /// variables denote integers, strict bounds are tightened exactly:
 /// `t < u` becomes `t <= u - 1`.
 ///
+/// The theory combiner builds a solver for each full check and each model
+/// extraction; the partial checks at propagation fixpoints are EUF-only
+/// and never build one.
+///
 /// Incompleteness is one-sided: when the branch-and-bound budget runs out,
 /// or a value overflows int64 (Rational.h), the solver answers "feasible",
 /// which makes the ATP answer "not valid" — the safe direction for a
@@ -59,7 +63,7 @@ struct LinExpr {
     return *this;
   }
   void scale(const Rational &C) {
-    if (C.isZero()) { // Keep no zero coefficient: it would be a divisor.
+    if (C.isZero()) { // No zero coefficient: isConstant() must see it.
       *this = LinExpr();
       return;
     }
@@ -81,20 +85,10 @@ struct LinExpr {
 /// rebuilding the whole tableau.
 class LiaSolver {
 public:
-  /// \p BoundPropagation: derive integer-tightened per-variable bounds
-  /// from single-variable constraints as they are built into the base
-  /// (assert time), so an immediate Lower > Upper conflict answers
-  /// isFeasible() without copying the tableau or pivoting. Gated by
-  /// AtpOptions::LiaBoundPropagation end to end; bench_atp carries the
-  /// A/B.
-  ///
   /// Construction clears the thread's rational overflow flag, so every
   /// constraint built for this solver afterwards, on this thread, is
   /// covered by the overflow check of its answers.
-  explicit LiaSolver(bool BoundPropagation = true)
-      : BoundProp(BoundPropagation) {
-    Rational::clearOverflow();
-  }
+  LiaSolver() { Rational::clearOverflow(); }
 
   uint32_t newVar();
   size_t numVars() const { return NumUserVars; }
@@ -121,15 +115,6 @@ public:
   /// branch-and-bound + disequality-split nodes. "Feasible", without a
   /// model, once the thread's rational overflow flag is set.
   bool isFeasible(uint32_t Budget = 4096);
-
-  /// Builds pending constraints into the base and reports whether the
-  /// assert-time checks alone — violated degenerate constraints and
-  /// (with bound propagation) per-variable bound conflicts — already
-  /// refute the constraint set. Never copies the tableau or pivots;
-  /// `false` means "not yet refuted", not "feasible", and is the answer
-  /// whenever the rational overflow flag is set. This is the cheap
-  /// partial-assignment probe behind TheorySolver's non-final checks.
-  bool hasAssertConflict();
 
   /// After isFeasible() returned true: the satisfying integer value of a
   /// user variable.
@@ -182,23 +167,8 @@ private:
     int32_t Row;    ///< Base row id, or -1 for degenerate constraints.
     uint32_t Slack;
     bool Violated; ///< Degenerate and unsatisfiable.
-    // Bound-propagation undo info: when this constraint tightened a user
-    // variable's base bounds, the pre-tightening bounds to restore on
-    // rollback (LIFO, like the rows).
-    bool Tightened = false;
-    uint32_t BoundVar = 0;
-    Bound PrevBound;
   };
 
-  /// Lower > Upper on integer-tightened bounds (immediate infeasibility).
-  static bool boundConflict(const Bound &B) {
-    return B.Lower && B.Upper && *B.Lower > *B.Upper;
-  }
-
-  /// Integer-tightens Base.Bounds for single-variable constraints at
-  /// build time and maintains BaseBoundConflicts; fills the undo fields
-  /// of \p R.
-  void propagateBounds(const LinExpr &E, bool IsEq, BuiltRecord &R);
   Tableau Base;
   std::vector<LinExpr> BasePendingNe;
   std::vector<BuiltRecord> Built;
@@ -208,8 +178,6 @@ private:
   size_t BuiltLe = 0;      ///< LeEqConstraints prefix length built.
   size_t BuiltNeCount = 0; ///< NeConstraints prefix length built.
   size_t BaseViolated = 0; ///< Violated degenerate constraints built.
-  size_t BaseBoundConflicts = 0; ///< Vars whose tightened bounds cross.
-  bool BoundProp;
 };
 
 } // namespace pec

@@ -311,9 +311,9 @@ bool SmtSession::onCheck(const Lit *Begin, const Lit *End, bool Final,
     ++Stats.TheoryChecks;
     Ok = Th->checkFull();
   } else {
-    // Partial assignment: EUF, plus (when enabled) the pivot-free LIA
-    // bound probe that catches crossed bounds before any pivoting.
-    Ok = Options.LiaBoundPropagation ? Th->checkPartial() : Th->checkEuf();
+    // Partial assignment: congruence closure only; arithmetic waits for
+    // the full gate.
+    Ok = Th->checkEuf();
   }
 
   if (!Ok) {
@@ -408,7 +408,7 @@ bool SmtSession::solve(const std::vector<FormulaPtr> &Roots,
   // Attach a fresh backtrackable theory solver for this query. setTheory
   // rewinds the SAT core's consumption cursor, so the persistent level-0
   // trail (units from lemmas and learned facts) is re-fed to it.
-  TheorySolver QueryTheory(Arena, Options.LiaBoundPropagation);
+  TheorySolver QueryTheory(Arena);
   QueryTheory.addRelevant(TermMask);
   Th = &QueryTheory;
   ConflictBudget = Options.MaxTheoryConflictsPerQuery;

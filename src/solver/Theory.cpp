@@ -288,8 +288,7 @@ std::vector<TheoryLit> pec::minimalTheoryCore(
 // TheorySolver
 //===----------------------------------------------------------------------===//
 
-TheorySolver::TheorySolver(TermArena &Arena, bool LiaBoundProp)
-    : Arena(Arena), Cc(Arena), LiaBoundProp(LiaBoundProp) {}
+TheorySolver::TheorySolver(TermArena &Arena) : Arena(Arena), Cc(Arena) {}
 
 void TheorySolver::addRelevant(const std::vector<char> &Mask) {
   if (Relevant.size() < Mask.size())
@@ -338,35 +337,6 @@ bool TheorySolver::checkEuf() {
   return true;
 }
 
-bool TheorySolver::checkPartial() {
-  if (!checkEuf())
-    return false;
-  if (!LiaBoundProp)
-    return true;
-
-  // Pivot-free LIA probe: build the trail's arithmetic (plus the congruent
-  // Int equalities) into a fresh solver and ask whether the assert-time
-  // bound propagation alone already refutes it. hasAssertConflict never
-  // copies the tableau or pivots, so this stays cheap enough for every
-  // partial check; full simplex waits for checkFull().
-  std::vector<std::pair<TermId, TermId>> AllEqs = PropagatedEqs;
-  Cc.forEachIntEquality([&](TermId A, TermId B) { AllEqs.emplace_back(A, B); });
-
-  LiaSolver Lia(LiaBoundProp); // Clears the rational overflow flag.
-  Linearizer Lin(Arena, Lia, &Cc);
-  bool AnyArith = false;
-  loadLia(Arena, Trail, AllEqs, Lia, Lin, AnyArith);
-  // No conflict is reported once anything has overflowed.
-  if (AnyArith && Lia.hasAssertConflict()) {
-    // A bound conflict implies genuine infeasibility, so conflictCore's
-    // full-check oracle can reproduce it when minimizing.
-    Conflicted = true;
-    return false;
-  }
-  Overflowed |= Rational::overflowed();
-  return true;
-}
-
 bool TheorySolver::checkFull() {
   if (!checkEuf())
     return false;
@@ -378,7 +348,7 @@ bool TheorySolver::checkFull() {
     Cc.forEachIntEquality(
         [&](TermId A, TermId B) { AllEqs.emplace_back(A, B); });
 
-    LiaSolver Lia(LiaBoundProp); // Clears the rational overflow flag.
+    LiaSolver Lia; // Clears the rational overflow flag.
     Linearizer Lin(Arena, Lia, &Cc);
     bool AnyArith = false;
     loadLia(Arena, Trail, AllEqs, Lia, Lin, AnyArith);

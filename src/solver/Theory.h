@@ -8,12 +8,13 @@
 /// The combined EUF + LIA ground theory behind the ATP, exposed as a
 /// *backtrackable* `TheorySolver` object the SAT core drives online:
 /// literals are asserted as they enter the boolean trail, `push()`/`pop()`
-/// bracket decision levels, `checkEuf()` runs the cheap incremental
-/// congruence fixpoint at every level, `propagate()` reports literals the
-/// current theory state entails, and `checkFull()` is the complete
-/// Nelson-Oppen gate at full assignments. `explain()` and `conflictCore()`
-/// produce the (QuickXplain-minimized) literal sets behind propagations and
-/// conflicts, materialized lazily only when conflict analysis asks.
+/// bracket decision levels, `checkEuf()` is the partial check at every
+/// propagation fixpoint (congruence closure only; no LIA), `propagate()`
+/// reports literals the current theory state entails, and `checkFull()` is
+/// the complete Nelson-Oppen gate at full assignments. `explain()` and
+/// `conflictCore()` produce the (QuickXplain-minimized) literal sets behind
+/// propagations and conflicts, materialized lazily only when conflict
+/// analysis asks.
 ///
 /// Reasoning pipeline per check:
 ///
@@ -100,10 +101,7 @@ std::vector<TheoryLit> minimalTheoryCore(
 /// A conflict latches until the state that caused it is popped.
 class TheorySolver {
 public:
-  /// \p LiaBoundProp gates the assert-time LIA bound propagation behind
-  /// checkPartial() and the LiaSolver instances checkFull() builds
-  /// (AtpOptions::LiaBoundPropagation end to end).
-  explicit TheorySolver(TermArena &Arena, bool LiaBoundProp = true);
+  explicit TheorySolver(TermArena &Arena);
 
   /// ORs \p Mask (TermId-indexed) into the relevance mask. Call before the
   /// first assertLit(); widening later is allowed and re-arms the closure.
@@ -122,17 +120,10 @@ public:
   /// this trail.
   const std::vector<TheoryLit> &trail() const { return Trail; }
 
-  /// Cheap incremental check: congruence/store fixpoint + disequalities.
-  /// Sound at partial assignments (an EUF conflict is a real conflict).
+  /// The partial check: congruence/store fixpoint + disequalities, with
+  /// no LIA work. Sound at partial assignments (an EUF conflict is a real
+  /// conflict); arithmetic waits for checkFull().
   bool checkEuf();
-
-  /// checkEuf() plus a pivot-free LIA probe: the trail's arithmetic is
-  /// built into a solver whose assert-time bound propagation
-  /// (LiaSolver::hasAssertConflict) refutes crossed per-variable bounds
-  /// without copying the tableau or pivoting. Sound at partial
-  /// assignments; "true" means "not yet refuted". Falls back to plain
-  /// checkEuf() when bound propagation is disabled.
-  bool checkPartial();
 
   /// Complete check: EUF plus LIA with Nelson-Oppen equality exchange.
   /// The full gate the SAT core runs before reporting "satisfiable".
@@ -193,7 +184,6 @@ private:
   std::vector<char> Relevant;
   bool Conflicted = false;
   bool Overflowed = false;
-  bool LiaBoundProp;
 };
 
 } // namespace pec

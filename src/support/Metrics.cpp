@@ -1,4 +1,4 @@
-//===- Metrics.cpp - Always-on counters, gauges, and histograms -----------===//
+//===- Metrics.cpp - Always-on counters and histograms --------------------===//
 
 #include "support/Metrics.h"
 
@@ -106,7 +106,6 @@ namespace {
 
 struct Shard {
   std::atomic<uint64_t> Counters[NumCounters] = {};
-  std::atomic<int64_t> Gauges[NumGauges] = {};
   std::atomic<uint64_t> HistBuckets[NumHists][NumBuckets] = {};
   std::atomic<uint64_t> HistSum[NumHists] = {};
   std::atomic<uint64_t> HistMax[NumHists] = {};
@@ -140,8 +139,6 @@ void fold(const Shard &From, Shard &To) {
   constexpr auto R = std::memory_order_relaxed;
   for (size_t C = 0; C < NumCounters; ++C)
     To.Counters[C].fetch_add(From.Counters[C].load(R), R);
-  for (size_t G = 0; G < NumGauges; ++G)
-    To.Gauges[G].fetch_add(From.Gauges[G].load(R), R);
   for (size_t H = 0; H < NumHists; ++H) {
     To.HistSum[H].fetch_add(From.HistSum[H].load(R), R);
     relaxedMax(To.HistMax[H], From.HistMax[H].load(R));
@@ -183,11 +180,6 @@ Shard &shard() {
 void metrics::add(Counter C, uint64_t Delta) {
   shard().Counters[static_cast<size_t>(C)].fetch_add(
       Delta, std::memory_order_relaxed);
-}
-
-void metrics::gaugeAdd(Gauge G, int64_t Delta) {
-  shard().Gauges[static_cast<size_t>(G)].fetch_add(Delta,
-                                                   std::memory_order_relaxed);
 }
 
 void metrics::record(Hist H, uint64_t Value) {
@@ -247,8 +239,6 @@ Snapshot metrics::snapshot() {
   Snapshot Out;
   for (size_t C = 0; C < NumCounters; ++C)
     Out.Counters[C] = Sum.Counters[C].load(std::memory_order_relaxed);
-  for (size_t G = 0; G < NumGauges; ++G)
-    Out.Gauges[G] = Sum.Gauges[G].load(std::memory_order_relaxed);
   for (size_t H = 0; H < NumHists; ++H) {
     HistogramSnapshot &Dst = Out.Hists[H];
     Dst.Sum = Sum.HistSum[H].load(std::memory_order_relaxed);
@@ -270,8 +260,6 @@ void metrics::resetForTest() {
   for (Shard *S : All) {
     for (size_t C = 0; C < NumCounters; ++C)
       S->Counters[C].store(0, std::memory_order_relaxed);
-    for (size_t G = 0; G < NumGauges; ++G)
-      S->Gauges[G].store(0, std::memory_order_relaxed);
     for (size_t H = 0; H < NumHists; ++H) {
       S->HistSum[H].store(0, std::memory_order_relaxed);
       S->HistMax[H].store(0, std::memory_order_relaxed);

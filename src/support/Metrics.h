@@ -1,12 +1,12 @@
-//===- Metrics.h - Always-on counters, gauges, and histograms ---*- C++ -*-===//
+//===- Metrics.h - Always-on counters and histograms -----------*- C++ -*-===//
 //
 // Part of the PEC reproduction of Kundu, Tatlock & Lerner, PLDI 2009.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `pec::metrics`: a process-wide registry of counters, gauges, and
-/// log-linear latency/size histograms, cheap enough to leave **always on**
+/// `pec::metrics`: a process-wide registry of counters and log-linear
+/// latency/size histograms, cheap enough to leave **always on**
 /// (docs/OBSERVABILITY.md). Spans (`pec::trace`) answer "what did this run
 /// do, event by event"; metrics answer "what do runs look like in the
 /// tail" — p50/p90/p99 query latencies, rule latencies, conflict-size
@@ -15,9 +15,9 @@
 ///
 /// Design:
 ///
-///   * The metric set is a closed compile-time enum (Counter / Gauge /
-///     Hist). No string lookups, no registration races, no allocation on
-///     the record path.
+///   * The metric set is a closed compile-time enum (Counter / Hist). No
+///     string lookups, no registration races, no allocation on the
+///     record path.
 ///   * Recording is **per-thread sharded**: every thread owns a shard of
 ///     relaxed atomics, created on its first record and registered with
 ///     the process registry. The fast path is one thread-local load plus
@@ -64,14 +64,6 @@ enum class Counter : unsigned {
   FlightDumpsSuppressed, ///< Slow-query dumps dropped by the per-process cap.
 };
 constexpr size_t NumCounters = 6;
-
-/// Instantaneous values, additive across shards (a thread adds on entry
-/// and subtracts on exit, so the shard sum is the current level).
-enum class Gauge : unsigned {
-  PoolQueueDepth, ///< Tasks submitted to a ThreadPool, not yet started.
-  PoolWorkers,    ///< Live ThreadPool worker threads.
-};
-constexpr size_t NumGauges = 2;
 
 /// Log-linear histograms. The first NumPurposes entries are the
 /// per-purpose ATP query latency slices, indexed in telemetry::Purpose
@@ -122,7 +114,6 @@ uint64_t bucketUpperBound(unsigned Idx);
 //===----------------------------------------------------------------------===//
 
 void add(Counter C, uint64_t Delta = 1);
-void gaugeAdd(Gauge G, int64_t Delta);
 void record(Hist H, uint64_t Value);
 
 //===----------------------------------------------------------------------===//
@@ -154,7 +145,6 @@ struct HistogramSnapshot {
 /// Merged view of the whole registry.
 struct Snapshot {
   std::array<uint64_t, NumCounters> Counters{};
-  std::array<int64_t, NumGauges> Gauges{};
   std::array<HistogramSnapshot, NumHists> Hists{};
 
   const HistogramSnapshot &hist(Hist H) const {
@@ -163,14 +153,13 @@ struct Snapshot {
   uint64_t counter(Counter C) const {
     return Counters[static_cast<size_t>(C)];
   }
-  int64_t gauge(Gauge G) const { return Gauges[static_cast<size_t>(G)]; }
 };
 
 /// Merges every thread shard. Deterministic once recording threads have
 /// quiesced (sums commute).
 Snapshot snapshot();
 
-/// Zeroes every shard (counters, gauges, histograms). Test-only: racing
+/// Zeroes every shard (counters, histograms). Test-only: racing
 /// recorders may survive into the next epoch.
 void resetForTest();
 

@@ -19,8 +19,6 @@ thread_local int TlsIndex = -1;
 
 ThreadPool::ThreadPool(unsigned Threads)
     : NumWorkers(Threads), Deques(Threads > 0 ? Threads : 1) {
-  metrics::gaugeAdd(metrics::Gauge::PoolWorkers,
-                    static_cast<int64_t>(Threads));
   Workers.reserve(Threads);
   for (unsigned I = 0; I < Threads; ++I)
     Workers.emplace_back([this, I] { workerLoop(I); });
@@ -34,8 +32,6 @@ ThreadPool::~ThreadPool() {
   SleepCv.notify_all();
   for (std::thread &W : Workers)
     W.join();
-  metrics::gaugeAdd(metrics::Gauge::PoolWorkers,
-                    -static_cast<int64_t>(NumWorkers));
 }
 
 unsigned ThreadPool::hardwareJobs() {
@@ -68,7 +64,6 @@ void ThreadPool::submit(std::function<void()> Task) {
     std::lock_guard<std::mutex> Lock(Deques[Target].Mutex);
     Deques[Target].Tasks.push_back(std::move(Task));
   }
-  metrics::gaugeAdd(metrics::Gauge::PoolQueueDepth, 1);
   // Publish-then-notify under SleepMutex so a worker that just found the
   // deques empty cannot sleep through this submission.
   {
@@ -104,7 +99,6 @@ bool ThreadPool::tryRunOneTask() {
   }
   if (!Task)
     return false;
-  metrics::gaugeAdd(metrics::Gauge::PoolQueueDepth, -1);
   auto Start = std::chrono::steady_clock::now();
   Task();
   metrics::record(metrics::Hist::PoolTaskUs,

@@ -84,6 +84,7 @@ int usage() {
                "[--cache-dir DIR] [observability flags]\n"
                "  pec serve --socket PATH [--jobs N] [--cache-dir DIR]\n"
                "            [--max-queue N] [--checkpoint-every N]\n"
+               "            [--query-budget-ms B] [--slow-query-ms N]\n"
                "  pec client --socket PATH <verb> [args...]\n"
                "  pec explain <rules-file> [rule-name] [--dot FILE] [observability flags]\n"
                "  pec report diff <old.json> <new.json> "
@@ -193,6 +194,27 @@ std::string journalPath(const OutputOptions &O) {
   return O.TracePath + ".journal.tmp";
 }
 
+/// Parses the count after `--slow-query-ms` at \p Args[I], advances \p I
+/// past it, and sets the flight recorder's slow-query threshold. Returns
+/// false, with a message, on a missing or malformed count.
+bool parseSlowQueryMs(const std::vector<std::string> &Args, size_t &I) {
+  if (I + 1 >= Args.size()) {
+    std::fprintf(stderr,
+                 "error: --slow-query-ms requires a millisecond count\n");
+    return false;
+  }
+  char *End = nullptr;
+  long N = std::strtol(Args[I + 1].c_str(), &End, 10);
+  if (!End || *End != '\0' || N < 0) {
+    std::fprintf(stderr, "error: bad --slow-query-ms value '%s'\n",
+                 Args[I + 1].c_str());
+    return false;
+  }
+  ++I;
+  flight::setSlowQueryThresholdUs(static_cast<uint64_t>(N) * 1000);
+  return true;
+}
+
 /// Strips the observability and parallelism flags (--trace, --report,
 /// --stats, --journal, --slow-query-ms, --log, --log-level, --jobs,
 /// --cache-stats) out of \p Args. Returns false on a malformed flag
@@ -222,20 +244,8 @@ bool parseOutputOptions(std::vector<std::string> &Args, OutputOptions &Out) {
       }
       Out.JournalPath = Args[++I];
     } else if (Args[I] == "--slow-query-ms") {
-      if (I + 1 >= Args.size()) {
-        std::fprintf(stderr,
-                     "error: --slow-query-ms requires a millisecond count\n");
+      if (!parseSlowQueryMs(Args, I))
         return false;
-      }
-      char *End = nullptr;
-      long N = std::strtol(Args[I + 1].c_str(), &End, 10);
-      if (!End || *End != '\0' || N < 0) {
-        std::fprintf(stderr, "error: bad --slow-query-ms value '%s'\n",
-                     Args[I + 1].c_str());
-        return false;
-      }
-      ++I;
-      flight::setSlowQueryThresholdUs(static_cast<uint64_t>(N) * 1000);
     } else if (Args[I] == "--log") {
       log::Format F;
       if (I + 1 >= Args.size() || !log::parseFormat(Args[I + 1], F)) {
@@ -1026,6 +1036,9 @@ int cmdServe(const std::vector<std::string> &Args) {
       if (!needValue("--query-budget-ms"))
         return 2;
       Opts.QueryBudgetMs = std::strtoull(Args[++I].c_str(), nullptr, 10);
+    } else if (Args[I] == "--slow-query-ms") {
+      if (!parseSlowQueryMs(Args, I))
+        return 2;
     } else {
       return usage();
     }

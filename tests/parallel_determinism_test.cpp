@@ -4,8 +4,9 @@
 // `--jobs 8` runs over figure11.rules and unsound.rules produce
 // byte-identical reports modulo timing fields, `--jobs 4` proves exactly
 // the rule set `--jobs 1` proves with the same per-rule work counts, and
-// the shared ATP cache actually hits. The `--jobs 1` work counts are also
-// pinned to the committed reference tests/golden/rule_counts.golden.
+// the shared ATP cache actually hits. The `--jobs 1` work counts of
+// figure11.rules, unsound.rules and negative.rules are also pinned to the
+// committed reference tests/golden/rule_counts.golden.
 // Everything goes through the CLI so the whole pipeline — scheduler,
 // cache, stats replay, report rendering — is under test, not a unit.
 //
@@ -139,7 +140,8 @@ TEST(ParallelDeterminism, JobCountDoesNotChangeOutcomes) {
   // Parallelism is per rule, and each rule runs on one thread with its
   // own incremental session, so --jobs must change neither a verdict nor
   // any rule's work counts.
-  for (const char *File : {"figure11.rules", "unsound.rules"}) {
+  for (const char *File :
+       {"figure11.rules", "unsound.rules", "negative.rules"}) {
     SCOPED_TRACE(File);
     std::string Sequential = proveJson(File, 1);
     std::string Parallel = proveJson(File, 4);
@@ -175,7 +177,8 @@ TEST(ParallelDeterminism, CacheHitsAreNonzeroAndSchedulingIndependent) {
 /// ruleCounts() entry of a `--jobs 1` run over each file.
 std::string countReference() {
   std::string Out;
-  for (const char *File : {"figure11.rules", "unsound.rules"})
+  for (const char *File :
+       {"figure11.rules", "unsound.rules", "negative.rules"})
     for (const auto &[Rule, Counts] : ruleCounts(proveJson(File, 1)))
       for (const auto &[Key, Value] : Counts)
         Out += std::string(File) + ' ' + Rule + ' ' + Key + ' ' +

@@ -2,14 +2,19 @@
 //
 // The headline result: every optimization in the paper's Fig. 11 is proven
 // correct once and for all, and PEC's permute usage matches the paper's
-// "Uses permute" column. Broken variants of several rules are rejected.
+// "Uses permute" column. Broken variants of several rules, the rules of
+// rules/negative.rules, are rejected.
 //
 //===----------------------------------------------------------------------===//
 
+#include "lang/Parser.h"
 #include "opts/Optimizations.h"
 #include "pec/Pec.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace pec;
 
@@ -48,50 +53,40 @@ PecResult prove(const std::string &Text) {
   return proveRule(parseRuleOrDie(Text));
 }
 
+/// Proves the rule \p Name of rules/negative.rules.
+PecResult proveNegative(const std::string &Name) {
+  static const std::vector<Rule> Rules = [] {
+    std::ifstream In(std::string(PEC_RULES_DIR) + "/negative.rules");
+    std::ostringstream Text;
+    Text << In.rdbuf();
+    Expected<std::vector<Rule>> Parsed = parseRules(Text.str());
+    if (!Parsed) {
+      ADD_FAILURE() << "rules/negative.rules: " << Parsed.error().str();
+      return std::vector<Rule>();
+    }
+    return *Parsed;
+  }();
+  for (const Rule &R : Rules)
+    if (R.Name == Name)
+      return proveRule(R);
+  ADD_FAILURE() << "rules/negative.rules has no rule " << Name;
+  return PecResult();
+}
+
 TEST(Figure11Negative, CseWithoutStability) {
-  // Dropping DoesNotModify(S1, E): S1 may change E's value.
-  EXPECT_FALSE(prove(R"(rule bad_cse {
-      X := E; L1: S1; Y := E;
-    } => {
-      X := E; S1; Y := X;
-    } where DoesNotModify(S1, X) @ L1 && DoesNotUse(E, X) @ L1)")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_cse").Proved);
 }
 
 TEST(Figure11Negative, CseWithoutFrame) {
-  // Dropping DoesNotModify(S1, X): S1 may clobber X.
-  EXPECT_FALSE(prove(R"(rule bad_cse2 {
-      X := E; L1: S1; Y := E;
-    } => {
-      X := E; S1; Y := X;
-    } where DoesNotModify(S1, E) @ L1 && DoesNotUse(E, X) @ L1)")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_cse2").Proved);
 }
 
 TEST(Figure11Negative, SpeculationWithoutOverwrite) {
-  // Classic wrong speculation: the else arm does not overwrite X.
-  EXPECT_FALSE(prove(R"(rule bad_spec {
-      L1: if (E0) { X := E; S1; } else { S2; }
-    } => {
-      X := E;
-      if (E0) { S1; } else { S2; }
-    } where DoesNotUse(E0, X) @ L1)")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_spec").Proved);
 }
 
 TEST(Figure11Negative, UnswitchingWithoutInvariance) {
-  // S1 may modify E1, so the unswitched branch choice can diverge.
-  PecResult Result = prove(R"(rule bad_unswitch {
-      while (E0) {
-        if (E1) { S1; } else { S2; }
-      }
-    } => {
-      if (E1) {
-        while (E0) { S1; }
-      } else {
-        while (E0) { S2; }
-      }
-    })");
+  PecResult Result = proveNegative("bad_unswitch");
   EXPECT_FALSE(Result.Proved);
   // The reported attempt (a retry with a seeded pair banned) fails on
   // path enumeration, so the diagnosis needs no ATP query; the invalid
@@ -104,65 +99,23 @@ TEST(Figure11Negative, UnswitchingWithoutInvariance) {
 }
 
 TEST(Figure11Negative, PipeliningWithoutPositiveTripCount) {
-  // Without StrictlyPositive(E) the prologue/epilogue run for empty loops.
-  EXPECT_FALSE(prove(R"(rule bad_pipeline {
-      I := 0;
-      L1: S0;
-      L2: while (I < E) { L3: S1; L4: S2; L5: I++; }
-    } => {
-      I := 0;
-      S0;
-      S1;
-      while (I < E - 1) { S2; I++; S1; }
-      S2;
-      I++;
-    } where DoesNotModify(S0, I) @ L1 && DoesNotModify(S1, I) @ L3
-         && DoesNotModify(S2, I) @ L4
-         && DoesNotModify(S1, E) @ L3 && DoesNotModify(S2, E) @ L4
-         && DoesNotUse(E, I) @ L5)")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_pipeline").Proved);
 }
 
 TEST(Figure11Negative, ReversalWithoutCommute) {
-  EXPECT_FALSE(prove(R"(rule bad_reversal {
-      for (I := E1; I <= E2; I++) { S[I]; }
-    } => {
-      for (I := E2; I >= E1; I--) { S[I]; }
-    })")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_reversal").Proved);
 }
 
 TEST(Figure11Negative, FusionWithMismatchedBounds) {
-  EXPECT_FALSE(prove(R"(rule bad_fusion {
-      for (I := E1; I <= E2; I++) { S1[I]; }
-      for (J := E1; J <= E2 + 1; J++) { L1: S2[J]; }
-    } => {
-      for (I := E1; I <= E2; I++) { S1[I]; S2[I]; }
-    } where forall K, L . Commute(S1[K], S2[L]) @ L1)")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_fusion").Proved);
 }
 
 TEST(Figure11Negative, InterchangeWithoutCommute) {
-  EXPECT_FALSE(prove(R"(rule bad_interchange {
-      for (I := E1; I <= E2; I++) {
-        for (J := E3; J <= E4; J++) { S[I, J]; }
-      }
-    } => {
-      for (J := E3; J <= E4; J++) {
-        for (I := E1; I <= E2; I++) { S[I, J]; }
-      }
-    })")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_interchange").Proved);
 }
 
 TEST(Figure11Negative, AlignmentWithWrongShift) {
-  // Bounds shifted by 1 but the body re-indexed by 2.
-  EXPECT_FALSE(prove(R"(rule bad_alignment {
-      for (I := E1; I <= E2; I++) { S[I]; }
-    } => {
-      for (I := E1 + 1; I <= E2 + 1; I++) { S[I - 2]; }
-    })")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_alignment").Proved);
 }
 
 // Documented limitation: the *combined* one-rule form of software
@@ -200,13 +153,7 @@ TEST(Figure11Limitations, CombinedPipeliningFormNotBisimProvable) {
 }
 
 TEST(Figure11Negative, UnrollTooFar) {
-  // Unconditionally duplicating the body overruns the bound.
-  EXPECT_FALSE(prove(R"(rule bad_unroll {
-      while (E0) { S; }
-    } => {
-      while (E0) { S; S; }
-    })")
-                   .Proved);
+  EXPECT_FALSE(proveNegative("bad_unroll").Proved);
 }
 
 } // namespace

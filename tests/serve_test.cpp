@@ -3,8 +3,9 @@
 // The `pec serve` contract (docs/SERVING.md), against a real daemon
 // process: concurrent clients get deterministic verdicts, a tiny
 // admission bound answers `overloaded` instead of queueing, the stats
-// verb stays reachable under saturation, and a daemon restart on the
-// same --cache-dir serves the previous process's answers from disk.
+// verb stays reachable under saturation, a daemon restart on the same
+// --cache-dir serves the previous process's answers from disk, and
+// --slow-query-ms makes a slow request dump the flight recorder.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <dirent.h>
 #include <fstream>
 #include <string>
 #include <sys/wait.h>
@@ -33,16 +35,17 @@ std::string readFileOrDie(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// One running daemon process. Started on a socket inside a fresh temp
-/// directory; shut down (via the protocol, falling back to SIGKILL) and
-/// reaped on destruction.
+/// One running daemon process. Started inside a fresh temp directory,
+/// which is its working directory and holds its socket; shut down (via
+/// the protocol, falling back to SIGKILL) and reaped on destruction.
 class Daemon {
 public:
   explicit Daemon(std::vector<std::string> ExtraArgs = {}) {
     char Template[] = "serve-test-XXXXXX";
-    if (::mkdtemp(Template) == nullptr)
+    char Cwd[4096];
+    if (::mkdtemp(Template) == nullptr || ::getcwd(Cwd, sizeof(Cwd)) == nullptr)
       return;
-    Dir = Template;
+    Dir = std::string(Cwd) + "/" + Template;
     Socket = Dir + "/pec.sock";
     start(std::move(ExtraArgs));
   }
@@ -65,6 +68,8 @@ public:
       for (std::string &A : Args)
         Argv.push_back(A.data());
       Argv.push_back(nullptr);
+      if (::chdir(Dir.c_str()) != 0)
+        _exit(127);
       ::execv(PEC_BIN, Argv.data());
       _exit(127);
     }
@@ -112,6 +117,21 @@ public:
 
 std::string proveRequest(const std::string &RulesText) {
   return "{\"verb\":\"prove\",\"rules\":\"" + escapeJson(RulesText) + "\"}";
+}
+
+/// The flight-recorder dumps (`pec-flight-*.json`) in \p Dir.
+unsigned flightDumps(const std::string &Dir) {
+  unsigned N = 0;
+  if (DIR *D = ::opendir(Dir.c_str())) {
+    while (const dirent *E = ::readdir(D)) {
+      std::string Name = E->d_name;
+      if (Name.rfind("pec-flight-", 0) == 0 && Name.size() > 5 &&
+          Name.compare(Name.size() - 5, 5, ".json") == 0)
+        ++N;
+    }
+    ::closedir(D);
+  }
+  return N;
 }
 
 uint64_t num(const json::ValuePtr &V, const char *Key) {
@@ -225,6 +245,26 @@ TEST(Serve, RestartServesFromPersistentCache) {
     WarmText += Rule->get("name")->stringValue() + "=" +
                 (Rule->get("proved")->boolValue() ? "1" : "0") + ";";
   EXPECT_EQ(ColdText, WarmText);
+}
+
+TEST(Serve, SlowQueryMsDumpsTheFlightRecorder) {
+  // A ping that sleeps past the threshold is a slow request; the dump is
+  // written before the reply is sent.
+  const std::string SlowPing = "{\"verb\":\"ping\",\"sleep_ms\":20}";
+  Daemon Slow({"--slow-query-ms", "1"});
+  ASSERT_GT(Slow.Pid, 0);
+  json::ValuePtr Reply = Slow.request(SlowPing);
+  ASSERT_TRUE(Reply != nullptr);
+  EXPECT_TRUE(Reply->get("ok")->boolValue());
+  EXPECT_GE(flightDumps(Slow.Dir), 1u);
+
+  // Without the flag the same request writes no dump.
+  Daemon Quiet;
+  ASSERT_GT(Quiet.Pid, 0);
+  Reply = Quiet.request(SlowPing);
+  ASSERT_TRUE(Reply != nullptr);
+  EXPECT_TRUE(Reply->get("ok")->boolValue());
+  EXPECT_EQ(flightDumps(Quiet.Dir), 0u);
 }
 
 } // namespace

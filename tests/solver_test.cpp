@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <pthread.h>
+#include <random>
 
 using namespace pec;
 
@@ -355,6 +356,110 @@ TEST(Euf, CongruenceThroughArithmetic) {
   EXPECT_TRUE(Cc.areEqual(X1, Y1));
 }
 
+TEST(Euf, DisequalityFollowsMergeAndPop) {
+  // a != b, then b = c: the union moves b's disequality to the merged
+  // class whichever of b and c becomes its root, and popping the union
+  // takes it back.
+  for (bool BFirst : {true, false}) {
+    SCOPED_TRACE(BFirst);
+    TermArena A;
+    TermId Xa = A.mkSymConst(Symbol::get("a"), Sort::Int);
+    TermId Xb = A.mkSymConst(Symbol::get("b"), Sort::Int);
+    TermId Xc = A.mkSymConst(Symbol::get("c"), Sort::Int);
+    CongruenceClosure Cc(A);
+    Cc.addDisequality(Xa, Xb);
+    Cc.pushState();
+    if (BFirst)
+      Cc.addEquality(Xb, Xc);
+    else
+      Cc.addEquality(Xc, Xb);
+    EXPECT_TRUE(Cc.mustDiffer(Xa, Xc));
+    EXPECT_TRUE(Cc.mustDiffer(Xc, Xa));
+    Cc.popState();
+    EXPECT_FALSE(Cc.mustDiffer(Xa, Xc));
+    EXPECT_TRUE(Cc.mustDiffer(Xa, Xb));
+  }
+}
+
+/// The reference for mustDiffer's per-class disequality lists: distinct
+/// constant roots, or a scan of every asserted disequality.
+bool scanMustDiffer(CongruenceClosure &Cc, const TermArena &A,
+                    const std::vector<std::pair<TermId, TermId>> &Diseqs,
+                    TermId X, TermId Y) {
+  TermId Rx = Cc.find(X), Ry = Cc.find(Y);
+  if (Rx == Ry)
+    return false;
+  auto IsConst = [&](TermId R) {
+    TermOp Op = A.node(R).Op;
+    return Op == TermOp::IntConst || Op == TermOp::NameLit;
+  };
+  if (IsConst(Rx) && IsConst(Ry))
+    return true;
+  for (const auto &[P, Q] : Diseqs) {
+    TermId Rp = Cc.find(P), Rq = Cc.find(Q);
+    if ((Rp == Rx && Rq == Ry) || (Rp == Ry && Rq == Rx))
+      return true;
+  }
+  return false;
+}
+
+TEST(Euf, DisequalityIndexMatchesScan) {
+  // Seeded random scripts over 16 terms: symbolic constants, two integer
+  // constants, and f(x) applications, whose merges close() derives by
+  // congruence. After every step mustDiffer must agree with the scan on
+  // every pair.
+  for (uint32_t Seed = 1; Seed <= 100; ++Seed) {
+    SCOPED_TRACE(Seed);
+    TermArena A;
+    std::vector<TermId> Terms;
+    for (int I = 0; I < 8; ++I)
+      Terms.push_back(
+          A.mkSymConst(Symbol::get("x" + std::to_string(I)), Sort::Int));
+    for (int I = 0; I < 6; ++I)
+      Terms.push_back(A.mkApply(Symbol::get("f"), {Terms[I]}, Sort::Int));
+    Terms.push_back(A.mkInt(0));
+    Terms.push_back(A.mkInt(1));
+
+    CongruenceClosure Cc(A);
+    std::vector<std::pair<TermId, TermId>> Diseqs;
+    std::vector<size_t> Frames; // Diseqs.size() at each open push.
+    std::mt19937 Rng(Seed);
+    auto Pick = [&] { return Terms[Rng() % Terms.size()]; };
+    for (int Step = 0; Step < 40; ++Step) {
+      switch (Rng() % 6) {
+      case 0:
+      case 1:
+        Cc.addEquality(Pick(), Pick());
+        break;
+      case 2: {
+        TermId X = Pick(), Y = Pick();
+        Cc.addDisequality(X, Y);
+        Diseqs.emplace_back(X, Y);
+        break;
+      }
+      case 3:
+        Cc.pushState();
+        Frames.push_back(Diseqs.size());
+        break;
+      case 4:
+        if (!Frames.empty()) {
+          Cc.popState();
+          Diseqs.resize(Frames.back());
+          Frames.pop_back();
+        }
+        break;
+      default:
+        Cc.close();
+        break;
+      }
+      for (TermId X : Terms)
+        for (TermId Y : Terms)
+          ASSERT_EQ(Cc.mustDiffer(X, Y), scanMustDiffer(Cc, A, Diseqs, X, Y))
+              << "step " << Step << ", terms " << X << " and " << Y;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Term arena simplifications
 //===----------------------------------------------------------------------===//
@@ -658,8 +763,7 @@ TEST_F(AtpTest, OverflowingCoefficientsAreConservative) {
 
 TEST_F(AtpTest, ProductWithACongruentZeroIsConstant) {
   // Once s = 0 is asserted, the linearizer folds y * s to y scaled by 0,
-  // which must leave the constant 0, not a zero coefficient of y (a zero
-  // divisor for the bound propagation of y * s = 5).
+  // which must leave the constant 0, not a zero coefficient of y.
   TermId S = intConst("s"), Y = intConst("y");
   FormulaPtr F = Formula::mkImplies(
       Formula::mkEq(A, S, A.mkInt(0)),
